@@ -14,7 +14,6 @@ takraw scenario predicts bicycle-kick directions from body-motion evidence;
 0.9375
 """
 
-from ._backend import backend_name
 from .document import emit_scenario, parse_scenario, scenario_digest
 from .errors import (
     ConditionOutOfRangeError,
@@ -51,6 +50,7 @@ from .fusion import (
     combine_traced,
     conflict,
     fold,
+    fold_steps,
     fuse_all,
     oracle_fuse_all,
 )
@@ -107,7 +107,6 @@ __all__ = [
     "UnknownLabelError",
     "ValidationError",
     "WeightOutOfRangeError",
-    "backend_name",
     "builtin_takraw_scenario",
     "combine",
     "combine_traced",
@@ -115,6 +114,7 @@ __all__ = [
     "emit_scenario",
     "evidence_for",
     "fold",
+    "fold_steps",
     "fuse_all",
     "fusion_report",
     "oracle_fuse_all",

@@ -32,6 +32,7 @@ from .scenario import (
     SweepFailure,
     builtin_takraw_scenario,
     fusion_report,
+    predict,
     prediction_from_report,
     sweep,
 )
@@ -106,14 +107,20 @@ def _load_scenario(args: argparse.Namespace) -> tuple[str, Scenario]:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     name, scenario = _load_scenario(args)
-    report = fusion_report(scenario, args.condition)
+    # Only the trace tables and the JSON cells need the traced fold.
+    if args.trace or args.format == "json":
+        report = fusion_report(scenario, args.condition)
+        prediction = prediction_from_report(report, args.condition)
+    else:
+        report = None
+        prediction = predict(scenario, args.condition)
     run = RunReport(
         scenario=scenario,
         scenario_name=name,
         scenario_digest=scenario_digest(scenario),
         condition=args.condition,
         report=report,
-        prediction=prediction_from_report(report, args.condition),
+        prediction=prediction,
     )
     if args.format == "json":
         output = fuse_json(run)

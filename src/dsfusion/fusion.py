@@ -11,10 +11,11 @@ Combination is refused once k reaches ``1 - CONFLICT_EPSILON``: dividing by a
 vanishing 1 - k amplifies noise beyond any meaningful precision, and k = 1
 exactly means the cores are disjoint.
 
-Three evaluation routes are provided and tested against each other:
+Every route runs the same cross-product loop, so they agree bit for bit by
+construction:
 
-* :func:`combine` / :func:`fold` run on the selected kernel backend
-  (compiled extension or pure Python) without building traces;
+* :func:`combine` / :func:`fold` build no traces; :func:`fold_steps` also
+  returns the per-step conflict of the fold;
 * :func:`combine_traced` / :func:`fuse_all` additionally record every
   cross-product cell, mirroring a hand-worked combination table;
 * :func:`oracle_fuse_all` is an independent brute-force check: it enumerates
@@ -32,7 +33,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import combine_products, conflict_weight
 from .errors import (
     EmptyInputError,
     ExplosionGuardError,
@@ -92,42 +92,66 @@ def _common_frame(sources: Sequence[MassFunction]) -> Frame:
     return frame
 
 
-def conflict(m1: MassFunction, m2: MassFunction) -> float:
-    """The conflict k between two evidences: total mass on empty intersections."""
-    m1.frame.check_same(m2.frame)
-    masks1, masses1 = zip(*m1.mask_items())
-    masks2, masses2 = zip(*m2.mask_items())
-    return conflict_weight(masks1, masses1, masks2, masses2)
+def _cross(
+    m1: MassFunction,
+    m2: MassFunction,
+    cells: list[tuple[int, int, int, float]] | None = None,
+) -> tuple[dict[int, float], float]:
+    """The un-normalized cross product of two mass functions.
 
-
-def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dempster's rule for two mass functions (kernel-backed, no trace)."""
+    Returns the sums of m1(B)*m2(C) by non-empty intersection mask and the
+    conflict k.  Pairs are visited left focal ascending by mask, then right
+    focal ascending; when ``cells`` is given, each pair is appended to it as
+    ``(left mask, right mask, intersection mask, product)``.
+    """
     m1.frame.check_same(m2.frame)
-    masks1, masses1 = zip(*m1.mask_items())
-    masks2, masses2 = zip(*m2.mask_items())
-    masks, products, k = combine_products(masks1, masses1, masks2, masses2)
-    return _normalize(m1.frame, masks, products, k, step=None)
+    acc: dict[int, float] = {}
+    get = acc.get
+    k = 0.0
+    right = m2.mask_items()
+    for b, mb in m1.mask_items():
+        for c, mc in right:
+            inter = b & c
+            p = mb * mc
+            if inter:
+                acc[inter] = get(inter, 0.0) + p
+            else:
+                k += p
+            if cells is not None:
+                cells.append((b, c, inter, p))
+    return acc, k
 
 
 def _normalize(
     frame: Frame,
-    masks: Sequence[int],
-    products: Sequence[float],
+    products: dict[int, float],
     k: float,
     step: int | None,
 ) -> MassFunction:
     if k >= 1.0 - CONFLICT_EPSILON:
         raise TotalConflictError(k, step=step)
+    masks = sorted(products)
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
     # is amplified by the tiny denominator; the complementary sum keeps the
     # result summing to 1 for every admissible k.  With no conflict at all
     # the true denominator is exactly 1, so the combination stays bit-exact
     # (vacuous stays neutral).
-    denom = sum(products) if k > 0.0 else 1.0
+    denom = sum([products[m] for m in masks]) if k > 0.0 else 1.0
     return MassFunction._from_mask_dict(
-        frame, {mask: p / denom for mask, p in zip(masks, products)}
+        frame, {mask: products[mask] / denom for mask in masks}
     )
+
+
+def conflict(m1: MassFunction, m2: MassFunction) -> float:
+    """The conflict k between two evidences: total mass on empty intersections."""
+    return _cross(m1, m2)[1]
+
+
+def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Dempster's rule for two mass functions (no trace)."""
+    products, k = _cross(m1, m2)
+    return _normalize(m1.frame, products, k, step=None)
 
 
 def combine_traced(m1: MassFunction, m2: MassFunction) -> CombinationTrace:
@@ -137,23 +161,15 @@ def combine_traced(m1: MassFunction, m2: MassFunction) -> CombinationTrace:
     elements as rows, right focal elements as columns, the intersection and
     the product m1(B)*m2(C) in each cell.
     """
-    m1.frame.check_same(m2.frame)
-    frame = m1.frame
-    cells: list[CombinationCell] = []
-    acc: dict[int, float] = {}
-    k = 0.0
-    for left, mb in m1.focal_elements():
-        for right, mc in m2.focal_elements():
-            inter = left & right
-            p = mb * mc
-            cells.append(CombinationCell(left, right, inter, p))
-            if inter.is_empty:
-                k += p
-            else:
-                acc[inter.mask] = acc.get(inter.mask, 0.0) + p
-    masks = sorted(acc)
-    result = _normalize(frame, masks, [acc[m] for m in masks], k, step=None)
-    return CombinationTrace(tuple(cells), k, result, (m1, m2))
+    raw: list[tuple[int, int, int, float]] = []
+    products, k = _cross(m1, m2, raw)
+    subset = m1.frame.subset_from_mask
+    cells = tuple(
+        CombinationCell(subset(b), subset(c), subset(inter), p)
+        for b, c, inter, p in raw
+    )
+    result = _normalize(m1.frame, products, k, step=None)
+    return CombinationTrace(cells, k, result, (m1, m2))
 
 
 def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
@@ -175,16 +191,21 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     return FusionReport(tuple(steps), acc)
 
 
+def fold_steps(sources: Sequence[MassFunction]) -> tuple[MassFunction, tuple[float, ...]]:
+    """The final mass and per-step conflict of :func:`fuse_all`, without traces."""
+    frame = _common_frame(sources)
+    acc = sources[0]
+    ks: list[float] = []
+    for step_no, source in enumerate(sources[1:], start=1):
+        products, k = _cross(acc, source)
+        acc = _normalize(frame, products, k, step=step_no)
+        ks.append(k)
+    return acc, tuple(ks)
+
+
 def fold(sources: Sequence[MassFunction]) -> MassFunction:
     """The final mass of :func:`fuse_all` without building traces."""
-    _common_frame(sources)
-    acc = sources[0]
-    for step_no, source in enumerate(sources[1:], start=1):
-        masks1, masses1 = zip(*acc.mask_items())
-        masks2, masses2 = zip(*source.mask_items())
-        masks, products, k = combine_products(masks1, masses1, masks2, masses2)
-        acc = _normalize(acc.frame, masks, products, k, step=step_no)
-    return acc
+    return fold_steps(sources)[0]
 
 
 def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:

@@ -1,20 +1,22 @@
 """Basic probability assignments over one frame.
 
 A :class:`MassFunction` maps subsets of a frame to mass values.  Construction
-validates the three defining constraints: no mass on the empty set, every
-stored mass strictly positive (zero entries are dropped), and total mass one
-within ``SUM_TOLERANCE``.  All computation happens at full double precision;
-rounding is a display concern (see ``dsfusion.render``).
+validates the defining constraints: every mass finite, no mass on the empty
+set, every stored mass strictly positive (zero entries are dropped), and
+total mass one within ``SUM_TOLERANCE``.  All computation happens at full
+double precision; rounding is a display concern (see ``dsfusion.render``).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 
 from .errors import (
     EmptyFocalError,
     EmptySetMassError,
     FocalIsFullFrameError,
+    MassError,
     NegativeMassError,
     NotNormalizedError,
     WeightOutOfRangeError,
@@ -37,6 +39,8 @@ class MassFunction:
         accumulated: dict[int, float] = {}
         for subset, mass in entries:
             frame.check_same(subset.frame)
+            if not math.isfinite(mass):
+                raise MassError(f"mass {mass!r} for {subset!r} is not finite")
             if mass < 0.0:
                 raise NegativeMassError(f"mass {mass!r} for {subset!r} is negative")
             if subset.is_empty and mass > 0.0:

@@ -61,13 +61,17 @@ def mass_map(m: MassFunction) -> dict[str, float]:
 
 @dataclass(frozen=True, slots=True)
 class RunReport:
-    """One fusion run, ready to render: scenario identity plus the numbers."""
+    """One fusion run, ready to render: scenario identity plus the numbers.
+
+    ``report`` holds the traced fold; it is ``None`` when the run was folded
+    without traces, which only the trace tables and the JSON cells need.
+    """
 
     scenario: Scenario
     scenario_name: str
     scenario_digest: str
     condition: int
-    report: FusionReport
+    report: FusionReport | None
     prediction: Prediction
 
 
@@ -131,16 +135,14 @@ def fuse_text(run: RunReport, precision: int, show_trace: bool) -> str:
             out.append("")
             out.append(f"step {i}: {lead}'{motions[i].name}'")
             out.append(render_trace(trace, precision))
+    p = run.prediction
     out.append("")
     out.append("final masses:")
-    for subset, value in run.report.final.focal_elements():
+    for subset, value in p.final.focal_elements():
         out.append(f"  {set_display(subset)}  {format_mass(value, precision)}")
-    if run.report.steps:
-        ks = " ".join(
-            format_mass(k, precision) for k in run.report.per_step_conflict
-        )
+    if p.steps_conflict:
+        ks = " ".join(format_mass(k, precision) for k in p.steps_conflict)
         out.append(f"conflict per step: {ks}")
-    p = run.prediction
     out.append(
         f"winner: {winner_label(p.winner)}  "
         f"mass {format_mass(p.winner_mass, precision)}  "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionOutOfRangeError, EvidenceError, ValidationError
 from .frame import Frame, Subset
-from .fusion import FusionReport, fuse_all
+from .fusion import FusionReport, fold_steps, fuse_all
 from .mass import MassFunction
 
 
@@ -206,15 +206,19 @@ def select_winner(final: MassFunction) -> Subset:
     The full frame never wins (total ignorance is not a direction).  Exact
     ties go to the higher belief, then to the lower subset mask.
     """
-    eligible = [(s, m) for s, m in final.focal_elements() if not s.is_full]
+    full = final.frame.full.mask
+    eligible = [(mask, m) for mask, m in final.mask_items() if mask != full]
     if not eligible:
         raise ValidationError("no proper focal element to choose a winner from")
-    return max(eligible, key=lambda e: (e[1], final.belief(e[0]), -e[0].mask))[0]
+    top = max(m for _, m in eligible)
+    # Belief is O(focals), so it is only evaluated for masks tied at the top.
+    tied = [final.frame.subset_from_mask(mask) for mask, m in eligible if m == top]
+    return max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
-def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
-    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
-    final = report.final
+def _prediction(
+    final: MassFunction, steps_conflict: tuple[float, ...], condition: int
+) -> Prediction:
     winner = select_winner(final)
     return Prediction(
         condition=condition,
@@ -223,17 +227,26 @@ def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
         winner_mass=final.mass(winner),
         winner_belief=final.belief(winner),
         winner_plausibility=final.plausibility(winner),
-        steps_conflict=report.per_step_conflict,
+        steps_conflict=steps_conflict,
     )
 
 
+def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
+    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
+    return _prediction(report.final, report.per_step_conflict, condition)
+
+
 def predict(scenario: Scenario, condition: int) -> Prediction:
-    """Fuse one condition's evidence and pick the winning direction."""
-    return prediction_from_report(fusion_report(scenario, condition), condition)
+    """Fuse one condition's evidence and pick the winning direction.
+
+    The fold builds no traces; the result equals summarizing
+    :func:`fusion_report` with :func:`prediction_from_report`.
+    """
+    return _prediction(*fold_steps(evidence_for(scenario, condition)), condition)
 
 
 def fusion_report(scenario: Scenario, condition: int) -> FusionReport:
-    """The traced fold behind :func:`predict` (used by the CLI for tables)."""
+    """The traced fold of one condition (used by the CLI for trace tables and JSON)."""
     return fuse_all(evidence_for(scenario, condition))
 
 

@@ -1,13 +1,17 @@
 """CLI behavior: formats, exit codes, determinism, file round-trips."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dsfusion import builtin_takraw_scenario, parse_scenario
 from dsfusion.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFLICT_DOC = json.dumps(
     {
@@ -351,10 +355,32 @@ class TestDeterminism:
         assert runs[0]  # non-empty
 
     def test_console_script_entrypoint(self):
+        """The ``dsfusion`` script target resolves and prints the documented CSV.
+
+        The script itself only exists after installation, so the test reads
+        the target from ``[project.scripts]`` and runs it the way the
+        generated wrapper does: import the module, call the function, exit
+        with its result.
+        """
+        import tomllib
+
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["dsfusion"]
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+        wrapper = (
+            "import importlib, sys\n"
+            "module, _, attr = sys.argv.pop(1).partition(':')\n"
+            "sys.exit(getattr(importlib.import_module(module), attr)())\n"
+        )
         out = subprocess.run(
-            ["dsfusion", "sweep", "--builtin", "takraw", "--format", "csv"],
+            [sys.executable, "-c", wrapper, target,
+             "sweep", "--builtin", "takraw", "--format", "csv"],
             capture_output=True,
             text=True,
         )
-        assert out.returncode == 0
-        assert out.stdout.splitlines()[0].startswith("condition,winner")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == (
+            "condition,winner,winner_mass,winner_belief,winner_plausibility"
+        )

@@ -11,6 +11,7 @@ from dsfusion import (
     FocalIsFullFrameError,
     Frame,
     FrameMismatchError,
+    MassError,
     MassFunction,
     NegativeMassError,
     NotNormalizedError,
@@ -61,6 +62,12 @@ class TestConstruction:
     def test_negative_mass(self, flrb):
         with pytest.raises(NegativeMassError):
             MassFunction(flrb, {flrb.subset(["F"]): -0.1, flrb.full: 1.1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass(self, flrb, value):
+        # NaN used to be dropped silently: both ``< 0`` and ``> 0`` are false
+        with pytest.raises(MassError, match="not finite"):
+            MassFunction(flrb, {flrb.subset(["F"]): 1.0, flrb.subset(["L"]): value})
 
     def test_duplicate_subsets_are_summed(self, flrb):
         f = flrb.subset(["F"])

@@ -176,6 +176,51 @@ class TestSelectWinner:
         assert select_winner(m) == flrb.subset(["L"])
 
 
+    def test_belief_only_breaks_ties_at_the_top_mass(self, flrb):
+        m = MassFunction(
+            flrb,
+            {
+                flrb.subset(["B"]): 0.3,
+                flrb.subset(["L", "B"]): 0.3,
+                flrb.subset(["F", "L", "B"]): 0.2,
+                flrb.full: 0.2,
+            },
+        )
+        # {F,L,B} has the highest belief (0.8) but not the highest mass;
+        # among the tied {B} (Bel 0.3) and {L,B} (Bel 0.6) the higher belief wins
+        assert select_winner(m) == flrb.subset(["L", "B"])
+
+    def test_equal_mass_and_belief_goes_to_lowest_mask(self, flrb):
+        m = MassFunction(
+            flrb,
+            {
+                flrb.subset(["L"]): 0.25,
+                flrb.subset(["R"]): 0.25,
+                flrb.subset(["B"]): 0.25,
+                flrb.full: 0.25,
+            },
+        )
+        assert select_winner(m) == flrb.subset(["L"])
+
+    def test_matches_mass_belief_mask_order(self):
+        # masses on a coarse grid so ties at the top are common
+        frame = Frame([f"h{i}" for i in range(5)])
+        rng = random.Random(11)
+        full = frame.full.mask
+        for _ in range(300):
+            masks = rng.sample(range(1, full + 1), rng.randint(2, 12))
+            weights = [rng.randint(1, 3) for _ in masks]
+            m = MassFunction(frame, {
+                frame.subset_from_mask(mask): w / sum(weights)
+                for mask, w in zip(masks, weights)
+            })
+            eligible = [(s, v) for s, v in m.focal_elements() if not s.is_full]
+            if not eligible:
+                continue
+            expected = max(eligible, key=lambda e: (e[1], m.belief(e[0]), -e[0].mask))[0]
+            assert select_winner(m) == expected
+
+
 class TestPredict:
     def test_condition_1_winner_is_back(self):
         takraw = builtin_takraw_scenario()
