@@ -50,7 +50,6 @@ from .fusion import (
     combine_traced,
     conflict,
     fold,
-    fold_steps,
     fuse_all,
     oracle_fuse_all,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "emit_scenario",
     "evidence_for",
     "fold",
-    "fold_steps",
     "fuse_all",
     "fusion_report",
     "oracle_fuse_all",

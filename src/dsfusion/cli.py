@@ -16,7 +16,7 @@ import sys
 from collections.abc import Sequence
 
 from .document import emit_scenario, parse_scenario, scenario_digest
-from .errors import EvidenceError, TotalConflictError
+from .errors import EvidenceError, ParseError, TotalConflictError
 from .render import (
     RunReport,
     fuse_csv,
@@ -32,7 +32,6 @@ from .scenario import (
     SweepFailure,
     builtin_takraw_scenario,
     fusion_report,
-    predict,
     prediction_from_report,
     sweep,
 )
@@ -101,26 +100,23 @@ def _load_scenario(args: argparse.Namespace) -> tuple[str, Scenario]:
     if args.builtin is not None:
         return f"builtin:{args.builtin}", builtin_takraw_scenario()
     with open(args.scenario, encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.scenario}: not UTF-8 text ({exc.reason})") from None
     return args.scenario, parse_scenario(text)
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     name, scenario = _load_scenario(args)
-    # Only the trace tables and the JSON cells need the traced fold.
-    if args.trace or args.format == "json":
-        report = fusion_report(scenario, args.condition)
-        prediction = prediction_from_report(report, args.condition)
-    else:
-        report = None
-        prediction = predict(scenario, args.condition)
+    report = fusion_report(scenario, args.condition)
     run = RunReport(
         scenario=scenario,
         scenario_name=name,
         scenario_digest=scenario_digest(scenario),
         condition=args.condition,
         report=report,
-        prediction=prediction,
+        prediction=prediction_from_report(report, args.condition),
     )
     if args.format == "json":
         output = fuse_json(run)

@@ -43,6 +43,8 @@ def parse_scenario(text: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
 
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")

@@ -3,8 +3,8 @@
 A :class:`Frame` fixes an ordered list of hypothesis labels; a
 :class:`Subset` is an immutable set of those hypotheses stored as a bitmask
 (label i maps to bit i), so intersection, union and complement are single
-integer operations.  Frames are capped at 64 labels to keep masks inside one
-machine word for the compiled kernels.
+integer operations.  Frames are capped at ``MAX_FRAME_SIZE`` (64) labels,
+the documented limit of the package.
 
 Frame identity is deliberately strict: two frames created separately are
 never compatible, even with identical labels, so values from different
@@ -20,6 +20,7 @@ from .errors import (
     DuplicateLabelError,
     EmptyFrameError,
     EmptyLabelError,
+    FrameError,
     FrameMismatchError,
     FrameTooLargeError,
     UnknownLabelError,
@@ -46,7 +47,7 @@ class Frame:
         positions: dict[str, int] = {}
         for i, label in enumerate(labels):
             if not isinstance(label, str):
-                raise EmptyLabelError(f"label {label!r} is not a string")
+                raise FrameError(f"label {label!r} is not a string")
             if not label:
                 raise EmptyLabelError("labels must be non-empty")
             if label in positions:

@@ -14,10 +14,12 @@ exactly means the cores are disjoint.
 Every route runs the same cross-product loop, so they agree bit for bit by
 construction:
 
-* :func:`combine` / :func:`fold` build no traces; :func:`fold_steps` also
-  returns the per-step conflict of the fold;
-* :func:`combine_traced` / :func:`fuse_all` additionally record every
-  cross-product cell, mirroring a hand-worked combination table;
+* :func:`combine` pools two evidences; :func:`fuse_all` folds a sequence
+  left to right, recording each step's normalized result and conflict, and
+  :func:`fold` keeps only the final mass of that fold;
+* :func:`combine_traced` and :attr:`FusionReport.steps` wrap a combination in
+  a :class:`CombinationTrace`, whose cross-product cells (a hand-worked
+  combination table) are recomputed only when read;
 * :func:`oracle_fuse_all` is an independent brute-force check: it enumerates
   the full n-way product of focal tuples in exact rational arithmetic and
   normalizes once at the end.  Agreement of the sequential fold with this
@@ -65,22 +67,48 @@ class CombinationTrace:
     two operands so a renderer can label table rows and columns.
     """
 
-    cells: tuple[CombinationCell, ...]
+    inputs: tuple[MassFunction, MassFunction]
     conflict: float
     result: MassFunction
-    inputs: tuple[MassFunction, MassFunction]
+
+    @property
+    def cells(self) -> tuple[CombinationCell, ...]:
+        """The cross-product table, recomputed from ``inputs`` on each read."""
+        raw: list[tuple[int, int, int, float]] = []
+        _cross(*self.inputs, raw)
+        subset = self.inputs[0].frame.subset_from_mask
+        return tuple(
+            CombinationCell(subset(b), subset(c), subset(inter), p)
+            for b, c, inter, p in raw
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class FusionReport:
-    """A sequential left-to-right fold: one trace per additional source."""
+    """A sequential left-to-right fold of ``sources``.
 
-    steps: tuple[CombinationTrace, ...]
-    final: MassFunction
+    ``results[i]`` is the normalized fold of ``sources[:i + 1]`` (so
+    ``results[0]`` is the first source) and ``per_step_conflict[i]`` is the k
+    of combining ``results[i]`` with ``sources[i + 1]``.
+    """
+
+    sources: tuple[MassFunction, ...]
+    results: tuple[MassFunction, ...]
+    per_step_conflict: tuple[float, ...]
 
     @property
-    def per_step_conflict(self) -> tuple[float, ...]:
-        return tuple(step.conflict for step in self.steps)
+    def final(self) -> MassFunction:
+        return self.results[-1]
+
+    @property
+    def steps(self) -> tuple[CombinationTrace, ...]:
+        """One trace per additional source, rebuilt from the recorded fold."""
+        return tuple(
+            CombinationTrace((prefix, source), k, result)
+            for prefix, source, k, result in zip(
+                self.results, self.sources[1:], self.per_step_conflict, self.results[1:]
+            )
+        )
 
 
 def _common_frame(sources: Sequence[MassFunction]) -> Frame:
@@ -161,51 +189,32 @@ def combine_traced(m1: MassFunction, m2: MassFunction) -> CombinationTrace:
     elements as rows, right focal elements as columns, the intersection and
     the product m1(B)*m2(C) in each cell.
     """
-    raw: list[tuple[int, int, int, float]] = []
-    products, k = _cross(m1, m2, raw)
-    subset = m1.frame.subset_from_mask
-    cells = tuple(
-        CombinationCell(subset(b), subset(c), subset(inter), p)
-        for b, c, inter, p in raw
-    )
-    result = _normalize(m1.frame, products, k, step=None)
-    return CombinationTrace(cells, k, result, (m1, m2))
+    products, k = _cross(m1, m2)
+    return CombinationTrace((m1, m2), k, _normalize(m1.frame, products, k, step=None))
 
 
 def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
-    """Fold sources left to right, keeping the trace of every step.
+    """Fold sources left to right, recording each step's result and conflict.
 
     Step i combines the accumulated result with source i+1 and renormalizes,
     exactly like working through the combination tables one by one.
     """
-    _common_frame(sources)
-    acc = sources[0]
-    steps: list[CombinationTrace] = []
-    for step_no, source in enumerate(sources[1:], start=1):
-        try:
-            trace = combine_traced(acc, source)
-        except TotalConflictError as exc:
-            raise TotalConflictError(exc.conflict, step=step_no) from None
-        steps.append(trace)
-        acc = trace.result
-    return FusionReport(tuple(steps), acc)
-
-
-def fold_steps(sources: Sequence[MassFunction]) -> tuple[MassFunction, tuple[float, ...]]:
-    """The final mass and per-step conflict of :func:`fuse_all`, without traces."""
     frame = _common_frame(sources)
+    sources = tuple(sources)
     acc = sources[0]
+    results = [acc]
     ks: list[float] = []
     for step_no, source in enumerate(sources[1:], start=1):
         products, k = _cross(acc, source)
         acc = _normalize(frame, products, k, step=step_no)
+        results.append(acc)
         ks.append(k)
-    return acc, tuple(ks)
+    return FusionReport(sources, tuple(results), tuple(ks))
 
 
 def fold(sources: Sequence[MassFunction]) -> MassFunction:
-    """The final mass of :func:`fuse_all` without building traces."""
-    return fold_steps(sources)[0]
+    """The final mass of :func:`fuse_all`."""
+    return fuse_all(sources).final
 
 
 def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:

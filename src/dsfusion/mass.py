@@ -128,7 +128,7 @@ class MassFunction:
         ]
 
     def mask_items(self) -> list[tuple[int, float]]:
-        """Raw (mask, mass) pairs in ascending mask order (kernel interchange)."""
+        """Raw (mask, mass) pairs in ascending mask order."""
         return list(self._masses.items())
 
     def __len__(self) -> int:

@@ -61,17 +61,13 @@ def mass_map(m: MassFunction) -> dict[str, float]:
 
 @dataclass(frozen=True, slots=True)
 class RunReport:
-    """One fusion run, ready to render: scenario identity plus the numbers.
-
-    ``report`` holds the traced fold; it is ``None`` when the run was folded
-    without traces, which only the trace tables and the JSON cells need.
-    """
+    """One fusion run, ready to render: scenario identity plus the numbers."""
 
     scenario: Scenario
     scenario_name: str
     scenario_digest: str
     condition: int
-    report: FusionReport | None
+    report: FusionReport
     prediction: Prediction
 
 
@@ -91,9 +87,8 @@ def render_trace(trace: CombinationTrace, precision: int = 4) -> str:
     left, right = trace.inputs
     left_items = left.focal_elements()
     right_items = right.focal_elements()
-    products = {
-        (cell.left.mask, cell.right.mask): cell for cell in trace.cells
-    }
+    # Cells come left-major: each row takes the next len(right_items) cells.
+    cells = iter(trace.cells)
 
     header = [""] + [
         f"{set_display(s)} {format_mass(v, precision)}" for s, v in right_items
@@ -101,8 +96,8 @@ def render_trace(trace: CombinationTrace, precision: int = 4) -> str:
     table = [header]
     for ls, lv in left_items:
         row = [f"{set_display(ls)} {format_mass(lv, precision)}"]
-        for rs, _ in right_items:
-            cell = products[(ls.mask, rs.mask)]
+        for _ in right_items:
+            cell = next(cells)
             row.append(
                 f"{set_display(cell.intersection)} "
                 f"{format_mass(cell.product, precision)}"

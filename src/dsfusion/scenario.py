@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionOutOfRangeError, EvidenceError, ValidationError
 from .frame import Frame, Subset
-from .fusion import FusionReport, fold_steps, fuse_all
+from .fusion import FusionReport, fuse_all
 from .mass import MassFunction
 
 
@@ -216,9 +216,9 @@ def select_winner(final: MassFunction) -> Subset:
     return max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
-def _prediction(
-    final: MassFunction, steps_conflict: tuple[float, ...], condition: int
-) -> Prediction:
+def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
+    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
+    final = report.final
     winner = select_winner(final)
     return Prediction(
         condition=condition,
@@ -227,26 +227,17 @@ def _prediction(
         winner_mass=final.mass(winner),
         winner_belief=final.belief(winner),
         winner_plausibility=final.plausibility(winner),
-        steps_conflict=steps_conflict,
+        steps_conflict=report.per_step_conflict,
     )
 
 
-def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
-    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
-    return _prediction(report.final, report.per_step_conflict, condition)
-
-
 def predict(scenario: Scenario, condition: int) -> Prediction:
-    """Fuse one condition's evidence and pick the winning direction.
-
-    The fold builds no traces; the result equals summarizing
-    :func:`fusion_report` with :func:`prediction_from_report`.
-    """
-    return _prediction(*fold_steps(evidence_for(scenario, condition)), condition)
+    """Fuse one condition's evidence and pick the winning direction."""
+    return prediction_from_report(fusion_report(scenario, condition), condition)
 
 
 def fusion_report(scenario: Scenario, condition: int) -> FusionReport:
-    """The traced fold of one condition (used by the CLI for trace tables and JSON)."""
+    """The fold of one condition; its per-step traces are built on demand."""
     return fuse_all(evidence_for(scenario, condition))
 
 

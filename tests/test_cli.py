@@ -269,6 +269,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    def test_non_utf8_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"frame": ["é"]}'.encode("latin-1"))
+        code, out, err = run(capsys, "fuse", "--scenario", str(path), "--condition", "1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
+    def test_deeply_nested_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "fuse", "--scenario", str(path), "--condition", "1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "nests too deeply" in err
+
     def test_invalid_weights_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -10,6 +10,7 @@ from dsfusion import (
     EmptyFrameError,
     EmptyLabelError,
     Frame,
+    FrameError,
     FrameMismatchError,
     FrameTooLargeError,
     UnknownLabelError,
@@ -41,6 +42,11 @@ class TestFrameConstruction:
     def test_empty_label(self):
         with pytest.raises(EmptyLabelError):
             Frame(["a", ""])
+
+    def test_non_string_label(self):
+        with pytest.raises(FrameError) as exc:
+            Frame([1])
+        assert type(exc.value) is FrameError
 
     def test_labels_are_case_sensitive(self):
         frame = Frame(["a", "A"])

@@ -387,6 +387,38 @@ class TestOracle:
             )
 
 
+@st.composite
+def simple_support_chains(draw):
+    size = draw(st.integers(min_value=2, max_value=5))
+    frame = Frame([f"h{i}" for i in range(size)])
+    proper = st.integers(min_value=1, max_value=(1 << size) - 2)
+    weight = st.integers(min_value=1, max_value=1000).map(lambda w: w / 1000)
+    pairs = draw(st.lists(st.tuples(proper, weight), min_size=1, max_size=8))
+    return [
+        MassFunction.simple_support(frame.subset_from_mask(mask), w)
+        for mask, w in pairs
+    ]
+
+
+@given(sources=simple_support_chains())
+def test_report_steps_rebuild_combine_traced(sources):
+    try:
+        report = fuse_all(sources)
+    except TotalConflictError as exc:
+        with pytest.raises(TotalConflictError) as direct:
+            combine_traced(fold(sources[: exc.step]), sources[exc.step])
+        assert direct.value.conflict == exc.conflict
+        return
+    assert len(report.steps) == len(sources) - 1
+    for i, step in enumerate(report.steps):
+        prefix = fold(sources[: i + 1])
+        assert step.inputs == (prefix, sources[i + 1])
+        expected = combine_traced(prefix, sources[i + 1])
+        assert step.cells == expected.cells
+        assert step.conflict == expected.conflict
+        assert step.result == expected.result
+
+
 @given(m1=masses_with_ignorance(), m2=masses_with_ignorance())
 def test_commutativity(m1, m2):
     assert combine(m1, m2).isclose(combine(m2, m1), tolerance=1e-12)

@@ -1,6 +1,6 @@
-"""The untraced fold behind predict/sweep against the traced fuse_all path.
+"""predict, sweep and the CLI against summaries of fuse_all's report.
 
-Both run the same cross-product loop, so every comparison here is exact:
+All of them run the one fold in fuse_all, so every comparison here is exact:
 final masses, per-step conflict, the step and k of a total conflict, and the
 CLI's stdout byte for byte.
 """
