@@ -20,8 +20,8 @@ raise :class:`ValidationError`.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
 from .frame import Frame
@@ -31,9 +31,20 @@ _TOP_KEYS = {"frame", "sources"}
 _SOURCE_KEYS = {"name", "focal", "bpa"}
 
 
+def _check_text(value: str, where: str) -> None:
+    # JSON admits lone surrogates like "\ud800", which no output encoding carries.
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{where} holds a lone surrogate") from None
+
+
 def _string_list(value: object, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{where} must be an array of strings")
+    for x in value:
+        _check_text(x, where)
     return value
 
 
@@ -45,6 +56,11 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
+    except ValueError:
+        # json.loads refuses integer literals longer than this limit
+        raise ParseError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
@@ -59,7 +75,7 @@ def parse_scenario(text: str) -> Scenario:
 
     names: list[str] = []
     focals: list[list[str]] = []
-    rows: list[list[float]] = []
+    rows: list[list[int | float]] = []
     for i, source in enumerate(sources):
         where = f"sources[{i}]"
         if not isinstance(source, dict):
@@ -71,6 +87,7 @@ def parse_scenario(text: str) -> Scenario:
             )
         if not isinstance(source["name"], str):
             raise SchemaError(f'{where}["name"] must be a string')
+        _check_text(source["name"], f'{where}["name"]')
         bpa = source["bpa"]
         if not isinstance(bpa, list) or not all(
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in bpa
@@ -78,7 +95,7 @@ def parse_scenario(text: str) -> Scenario:
             raise SchemaError(f'{where}["bpa"] must be an array of numbers')
         names.append(source["name"])
         focals.append(_string_list(source["focal"], f'{where}["focal"]'))
-        rows.append([float(w) for w in bpa])
+        rows.append(bpa)
 
     lengths = {len(row) for row in rows}
     if len(lengths) != 1:
@@ -117,4 +134,7 @@ def emit_scenario(scenario: Scenario) -> str:
 
 def scenario_digest(scenario: Scenario) -> str:
     """Short content hash of the canonical document text."""
+    # Imported here so that CLI start-up does not pay for it.
+    import hashlib
+
     return hashlib.sha256(emit_scenario(scenario).encode("utf-8")).hexdigest()[:12]

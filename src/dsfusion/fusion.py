@@ -32,8 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
@@ -47,8 +46,7 @@ CONFLICT_EPSILON = 1e-9
 ORACLE_TUPLE_CAP = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class CombinationCell:
+class CombinationCell(NamedTuple):
     """One cross-product cell: left focal meets right focal."""
 
     left: Subset
@@ -57,8 +55,7 @@ class CombinationCell:
     product: float
 
 
-@dataclass(frozen=True, slots=True)
-class CombinationTrace:
+class CombinationTrace(NamedTuple):
     """Everything one pairwise combination did.
 
     ``cells`` lists all focal pairs in deterministic order (left focal
@@ -83,8 +80,7 @@ class CombinationTrace:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class FusionReport:
+class FusionReport(NamedTuple):
     """A sequential left-to-right fold of ``sources``.
 
     ``results[i]`` is the normalized fold of ``sources[:i + 1]`` (so
@@ -226,6 +222,9 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
     are read through their shortest decimal representation, so ordinary
     decimal inputs are handled exactly.
     """
+    # Imported here so that CLI start-up does not pay for it.
+    from fractions import Fraction
+
     frame = _common_frame(sources)
     tuple_count = math.prod(len(m) for m in sources)
     if tuple_count > ORACLE_TUPLE_CAP:

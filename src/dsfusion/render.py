@@ -9,11 +9,9 @@ full precision.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .errors import TotalConflictError
 from .frame import Subset
@@ -59,8 +57,7 @@ def mass_map(m: MassFunction) -> dict[str, float]:
     return {set_key(subset): value for subset, value in m.focal_elements()}
 
 
-@dataclass(frozen=True, slots=True)
-class RunReport:
+class RunReport(NamedTuple):
     """One fusion run, ready to render: scenario identity plus the numbers."""
 
     scenario: Scenario
@@ -201,6 +198,10 @@ def _csv_row(p: Prediction) -> list[str]:
 
 
 def _csv(rows: list[list[str]]) -> str:
+    # Imported here so that CLI start-up does not pay for it.
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_HEADER)

@@ -20,7 +20,7 @@ README for the full comparison.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConditionOutOfRangeError, EvidenceError, ValidationError
 from .frame import Frame, Subset
@@ -28,8 +28,7 @@ from .fusion import FusionReport, fuse_all
 from .mass import MassFunction
 
 
-@dataclass(frozen=True, slots=True)
-class Motion:
+class Motion(NamedTuple):
     """One evidence source: a named motion supporting a direction subset."""
 
     name: str
@@ -62,7 +61,12 @@ class Scenario:
             if motion.name in names:
                 raise ValidationError(f"duplicate motion name {motion.name!r}")
             names.add(motion.name)
-        rows = tuple(tuple(float(w) for w in row) for row in bpa)
+        try:
+            rows = tuple(tuple(float(w) for w in row) for row in bpa)
+        except OverflowError:  # an int beyond the float range
+            raise ValidationError(
+                "a weight is too large for a float, so outside (0, 1]"
+            ) from None
         if not rows:
             raise ValidationError("a scenario needs at least one condition")
         for c, row in enumerate(rows, start=1):
@@ -120,8 +124,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     """The fusion outcome for one condition."""
 
     condition: int
@@ -133,8 +136,7 @@ class Prediction:
     steps_conflict: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     """A condition whose fold could not finish (kept so a sweep never aborts)."""
 
     condition: int

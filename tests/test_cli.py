@@ -283,6 +283,31 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "nests too deeply" in err
 
+    @pytest.mark.parametrize(
+        "digits, error",
+        [(400, "outside (0, 1]"), (5000, "digits")],
+        ids=["beyond-float-range", "beyond-int-digit-limit"],
+    )
+    def test_overlong_integer_weight(self, capsys, tmp_path, digits, error):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"frame": ["a", "b"], "sources": '
+            f'[{{"name": "s", "focal": ["a"], "bpa": [{"1" * digits}]}}]}}'
+        )
+        code, out, err = run(capsys, "sweep", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and error in err
+
+    def test_lone_surrogate_label(self, capsys, tmp_path):
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"frame": ["a", "\\ud800"], '
+            '"sources": [{"name": "s", "focal": ["a"], "bpa": [0.5]}]}'
+        )
+        code, out, err = run(capsys, "fuse", "--scenario", str(path), "--condition", "1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "lone surrogate" in err
+
     def test_invalid_weights_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

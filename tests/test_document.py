@@ -110,6 +110,22 @@ class TestParse:
             parse_scenario(doc(sources=[{"name": "s", "focal": ["a"], "bpa": [1.5]}]))
         with pytest.raises(ValidationError):
             parse_scenario(doc(sources=[{"name": "s", "focal": ["a"], "bpa": [0.0]}]))
+        with pytest.raises(ValidationError):  # float() of it overflows
+            parse_scenario(doc(sources=[{"name": "s", "focal": ["a"], "bpa": [10**400]}]))
+
+    def test_integer_beyond_digit_limit(self):
+        with pytest.raises(ParseError, match="digits"):
+            parse_scenario(MINIMAL.replace("0.5", "1" * 5000))
+
+    @pytest.mark.parametrize(
+        "frame, name",
+        [(("a", "\ud800"), "s"), (("a", "b"), "\ud800")],
+        ids=["label", "name"],
+    )
+    def test_lone_surrogate_string(self, frame, name):
+        text = doc(frame=frame, sources=[{"name": name, "focal": ["a"], "bpa": [0.5]}])
+        with pytest.raises(SchemaError, match="lone surrogate"):
+            parse_scenario(text)
 
     def test_unknown_focal_label(self):
         with pytest.raises(ValidationError):

@@ -84,7 +84,16 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             self.make(bpa=[(0.5, 0.5)])
 
-    @pytest.mark.parametrize("weight", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            0.0,
+            -0.5,
+            1.5,
+            pytest.param(10**400, id="int-beyond-float-range"),
+            pytest.param(-(10**400), id="negative-int-beyond-float-range"),
+        ],
+    )
     def test_weight_out_of_range(self, weight):
         with pytest.raises(ValidationError):
             self.make(bpa=[(weight,)])
