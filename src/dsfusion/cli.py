@@ -25,7 +25,6 @@ from .render import (
     sweep_csv,
     sweep_json,
     sweep_text,
-    worst_failure_exit,
 )
 from .scenario import (
     Scenario,
@@ -96,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    """The exit code for an error: usage for OSError, else conflict or validation."""
+    if isinstance(exc, OSError):
+        return EXIT_USAGE
+    return EXIT_CONFLICT if isinstance(exc, TotalConflictError) else EXIT_VALIDATION
+
+
 def _load_scenario(args: argparse.Namespace) -> tuple[str, Scenario]:
     if args.builtin is not None:
         return f"builtin:{args.builtin}", builtin_takraw_scenario()
@@ -138,10 +144,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         output = sweep_text(name, scenario_digest(scenario), results)
     sys.stdout.write(output)
+    code = EXIT_OK
     for result in results:
         if isinstance(result, SweepFailure):
             print(f"condition {result.condition}: {result.error}", file=sys.stderr)
-    return worst_failure_exit(results)
+            code = max(code, _exit_code(result.error))
+    return code
 
 
 def _cmd_export_builtin(args: argparse.Namespace) -> int:
@@ -167,15 +175,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
+    except (OSError, EvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TotalConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFLICT
-    except EvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _exit_code(exc)
 
 
 def entrypoint() -> None:

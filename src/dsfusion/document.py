@@ -25,19 +25,15 @@ import sys
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
 from .frame import Frame
-from .scenario import Motion, Scenario
+from .scenario import Motion, Scenario, _encodable
 
 _TOP_KEYS = {"frame", "sources"}
 _SOURCE_KEYS = {"name", "focal", "bpa"}
 
 
 def _check_text(value: str, where: str) -> None:
-    # JSON admits lone surrogates like "\ud800", which no output encoding carries.
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SchemaError(f"{where} holds a lone surrogate") from None
+    if not _encodable(value):
+        raise SchemaError(f"{where} holds a lone surrogate")
 
 
 def _string_list(value: object, where: str) -> list[str]:
@@ -100,8 +96,6 @@ def parse_scenario(text: str) -> Scenario:
     lengths = {len(row) for row in rows}
     if len(lengths) != 1:
         raise SchemaError(f"bpa arrays disagree in length: {sorted(lengths)}")
-    if lengths == {0}:
-        raise ValidationError("bpa arrays are empty: at least one condition required")
 
     try:
         frame = Frame(labels)

@@ -28,6 +28,20 @@ SUM_TOLERANCE = 1e-9
 Entries = Mapping[Subset, float] | Iterable[tuple[Subset, float]]
 
 
+def _as_weight(value: object) -> float:
+    """A support weight as a float; text, bools and non-numbers are refused."""
+    if not isinstance(value, (bool, str, bytes, bytearray, memoryview)):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            raise WeightOutOfRangeError(
+                "a weight is too large for a float, so outside (0, 1]"
+            ) from None
+        except (TypeError, ValueError):
+            pass
+    raise WeightOutOfRangeError(f"weight {value!r} is not a number")
+
+
 class MassFunction:
     """A validated basic probability assignment m: subsets -> (0, 1]."""
 
@@ -82,13 +96,15 @@ class MassFunction:
             raise FocalIsFullFrameError(
                 "use MassFunction.vacuous for all-mass-on-the-frame"
             )
+        weight = _as_weight(weight)
         if not 0.0 < weight <= 1.0:
             raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
         frame = focal.frame
         if weight == 1.0:
             return cls._from_mask_dict(frame, {focal.mask: 1.0})
+        # A proper focal's mask is below the full mask, so the keys are sorted.
         return cls._from_mask_dict(
-            frame, dict(sorted({focal.mask: weight, frame.full.mask: 1.0 - weight}.items()))
+            frame, {focal.mask: weight, frame.full.mask: 1.0 - weight}
         )
 
     @property

@@ -13,7 +13,6 @@ import json
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
-from .errors import TotalConflictError
 from .frame import Subset
 from .fusion import CombinationTrace, FusionReport
 from .mass import MassFunction
@@ -36,11 +35,6 @@ def format_full(value: float) -> str:
 def set_key(subset: Subset) -> str:
     """Machine key for a subset: member labels joined by '+', frame order."""
     return "+".join(subset.labels)
-
-
-def set_display(subset: Subset) -> str:
-    """Human display: {L,B} braces, ∅ for empty, Θ for the full frame."""
-    return repr(subset)
 
 
 def winner_label(subset: Subset) -> str:
@@ -70,12 +64,21 @@ class RunReport(NamedTuple):
 
 def _mass_line(m: MassFunction, precision: int) -> str:
     return "  ".join(
-        f"{set_display(subset)} {format_mass(value, precision)}"
+        f"{subset!r} {format_mass(value, precision)}"
         for subset, value in m.focal_elements()
     )
 
 
-def render_trace(trace: CombinationTrace, precision: int = 4) -> str:
+def _table(rows: list[list[str]], separator: str) -> list[str]:
+    """Rows as lines with left-aligned columns, trailing blanks stripped."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return [
+        separator.join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+
+
+def render_trace(trace: CombinationTrace, precision: int) -> str:
     """One combination as a cross-product table, k and result below.
 
     Left focal elements label the rows, right focal elements the columns,
@@ -87,27 +90,15 @@ def render_trace(trace: CombinationTrace, precision: int = 4) -> str:
     # Cells come left-major: each row takes the next len(right_items) cells.
     cells = iter(trace.cells)
 
-    header = [""] + [
-        f"{set_display(s)} {format_mass(v, precision)}" for s, v in right_items
-    ]
-    table = [header]
+    table = [[""] + [f"{s!r} {format_mass(v, precision)}" for s, v in right_items]]
     for ls, lv in left_items:
-        row = [f"{set_display(ls)} {format_mass(lv, precision)}"]
+        row = [f"{ls!r} {format_mass(lv, precision)}"]
         for _ in right_items:
             cell = next(cells)
-            row.append(
-                f"{set_display(cell.intersection)} "
-                f"{format_mass(cell.product, precision)}"
-            )
+            row.append(f"{cell.intersection!r} {format_mass(cell.product, precision)}")
         table.append(row)
 
-    widths = [
-        max(len(row[col]) for row in table) for col in range(len(header))
-    ]
-    lines = [
-        " | ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in table
-    ]
+    lines = _table(table, " | ")
     lines.append(f"k = {format_mass(trace.conflict, precision)}")
     lines.append(f"result: {_mass_line(trace.result, precision)}")
     return "\n".join(lines)
@@ -131,7 +122,7 @@ def fuse_text(run: RunReport, precision: int, show_trace: bool) -> str:
     out.append("")
     out.append("final masses:")
     for subset, value in p.final.focal_elements():
-        out.append(f"  {set_display(subset)}  {format_mass(value, precision)}")
+        out.append(f"  {subset!r}  {format_mass(value, precision)}")
     if p.steps_conflict:
         ks = " ".join(format_mass(k, precision) for k in p.steps_conflict)
         out.append(f"conflict per step: {ks}")
@@ -144,13 +135,9 @@ def fuse_text(run: RunReport, precision: int, show_trace: bool) -> str:
     return "\n".join(out) + "\n"
 
 
-def _labels(subset: Subset) -> list[str]:
-    return list(subset.labels)
-
-
 def _winner_json(p: Prediction) -> dict:
     return {
-        "labels": _labels(p.winner),
+        "labels": list(p.winner.labels),
         "mass": p.winner_mass,
         "belief": p.winner_belief,
         "plausibility": p.winner_plausibility,
@@ -164,9 +151,9 @@ def fuse_json(run: RunReport) -> str:
             "k": trace.conflict,
             "cells": [
                 {
-                    "left": _labels(cell.left),
-                    "right": _labels(cell.right),
-                    "intersection": _labels(cell.intersection),
+                    "left": list(cell.left.labels),
+                    "right": list(cell.right.labels),
+                    "intersection": list(cell.intersection.labels),
                     "product": cell.product,
                 }
                 for cell in trace.cells
@@ -219,33 +206,27 @@ def sweep_csv(results: list[Prediction | SweepFailure]) -> str:
     return _csv([_csv_row(r) for r in results if isinstance(r, Prediction)])
 
 
+_SWEEP_PRECISION = 4
+
+
 def sweep_text(
-    scenario_name: str,
-    digest: str,
-    results: list[Prediction | SweepFailure],
-    precision: int = 4,
+    scenario_name: str, digest: str, results: list[Prediction | SweepFailure]
 ) -> str:
-    header = ["condition", "winner", "mass", "belief", "plausibility"]
-    rows = [header]
+    rows = [["condition", "winner", "mass", "belief", "plausibility"]]
     for r in results:
         if isinstance(r, Prediction):
             rows.append(
                 [
                     str(r.condition),
                     winner_label(r.winner),
-                    format_mass(r.winner_mass, precision),
-                    format_mass(r.winner_belief, precision),
-                    format_mass(r.winner_plausibility, precision),
+                    format_mass(r.winner_mass, _SWEEP_PRECISION),
+                    format_mass(r.winner_belief, _SWEEP_PRECISION),
+                    format_mass(r.winner_plausibility, _SWEEP_PRECISION),
                 ]
             )
         else:
             rows.append([str(r.condition), f"ERROR: {r.error}", "", "", ""])
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    lines = [f"scenario: {scenario_name} (sha256:{digest})"]
-    lines += [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+    lines = [f"scenario: {scenario_name} (sha256:{digest})", *_table(rows, "  ")]
     return "\n".join(lines) + "\n"
 
 
@@ -263,12 +244,3 @@ def sweep_json(results: list[Prediction | SweepFailure]) -> str:
         else:
             entries.append({"condition": r.condition, "error": str(r.error)})
     return json.dumps(entries, indent=2, ensure_ascii=False) + "\n"
-
-
-def worst_failure_exit(results: list[Prediction | SweepFailure]) -> int:
-    """Exit code contribution of sweep failures: 3 for conflict, 2 otherwise."""
-    code = 0
-    for r in results:
-        if isinstance(r, SweepFailure):
-            code = max(code, 3 if isinstance(r.error, TotalConflictError) else 2)
-    return code

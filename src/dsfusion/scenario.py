@@ -22,10 +22,21 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import ConditionOutOfRangeError, EvidenceError, ValidationError
+from .errors import (
+    ConditionOutOfRangeError,
+    EvidenceError,
+    ValidationError,
+    WeightOutOfRangeError,
+)
 from .frame import Frame, Subset
 from .fusion import FusionReport, fuse_all
-from .mass import MassFunction
+from .mass import MassFunction, _as_weight
+
+
+def _encodable(text: str) -> bool:
+    """False if ``text`` holds a lone surrogate such as "\\ud800" (JSON admits
+    one, UTF-8 cannot carry it)."""
+    return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
 
 
 class Motion(NamedTuple):
@@ -48,6 +59,12 @@ class Scenario:
     ):
         if not motions:
             raise ValidationError("a scenario needs at least one motion")
+        # emit_scenario must write every label and name as UTF-8 JSON text.
+        for name in (*frame.labels, *(motion.name for motion in motions)):
+            if not isinstance(name, str) or not _encodable(name):
+                raise ValidationError(
+                    f"label or name {name!r} must be a string without lone surrogates"
+                )
         names = set()
         for motion in motions:
             frame.check_same(motion.direction.frame)
@@ -62,11 +79,9 @@ class Scenario:
                 raise ValidationError(f"duplicate motion name {motion.name!r}")
             names.add(motion.name)
         try:
-            rows = tuple(tuple(float(w) for w in row) for row in bpa)
-        except OverflowError:  # an int beyond the float range
-            raise ValidationError(
-                "a weight is too large for a float, so outside (0, 1]"
-            ) from None
+            rows = tuple(tuple(_as_weight(w) for w in row) for row in bpa)
+        except WeightOutOfRangeError as exc:
+            raise ValidationError(str(exc)) from None
         if not rows:
             raise ValidationError("a scenario needs at least one condition")
         for c, row in enumerate(rows, start=1):
@@ -185,16 +200,12 @@ def builtin_takraw_scenario() -> Scenario:
     return Scenario(frame, motions, bpa)
 
 
-def _check_condition(scenario: Scenario, condition: int) -> None:
+def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
+    """One simple support function per motion, in motion order (1-based condition)."""
     if not 1 <= condition <= scenario.condition_count:
         raise ConditionOutOfRangeError(
             f"condition {condition} outside 1..{scenario.condition_count}"
         )
-
-
-def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
-    """One simple support function per motion, in motion order (1-based condition)."""
-    _check_condition(scenario, condition)
     row = scenario.bpa[condition - 1]
     return [
         MassFunction.simple_support(motion.direction, weight)

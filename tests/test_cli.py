@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, file round-trips."""
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -370,6 +371,114 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "fuse", "--help")[0] == 0
+
+
+# sha256 of the exact stdout of each command.  The CLI's table, JSON and CSV
+# bytes are a contract: a change here must be deliberate and documented.
+GOLDEN_STDOUT = [
+    ("sweep --builtin takraw --format table",
+     "da2ccdfec63f77db1103a26baf01fc54957c5b409224966e655ff2925d103ce3"),
+    ("sweep --builtin takraw --format json",
+     "3b8b2b558d29ca533c2431f3a4bdba08518f7ce35fd08788c2dd990847054794"),
+    ("sweep --builtin takraw --format csv",
+     "749aad0250735ff407e8e77e37267de63eca3ae4d602a7e2615edfe402bcc310"),
+    ("fuse --builtin takraw --condition 1",
+     "5e0f781c2eedb8650527ad80e9c9b8cf6bcd0b499ed2d79ba929304cb6e7f2ee"),
+    ("fuse --builtin takraw --condition 1 --trace --precision 6",
+     "1f31d46d9d98cc4782a764978b88cbf1ad3a67bef4e41cde2f8ce1aa172aaad0"),
+    ("fuse --builtin takraw --condition 1 --format json",
+     "80ededd6007eb33bcf5e861dbf0eb5d03b57bf795ccac91eea4c97f7acbf63d7"),
+    ("fuse --builtin takraw --condition 1 --format csv",
+     "bc6f3c288dd376405fd4321ee413f64b62d0eb5144f3d2de7fe8b728e0189979"),
+    ("fuse --builtin takraw --condition 2",
+     "a50f06dd1b6bee1e81aa7bbd766d681a9f372a6dfe1fd665ec21eb153b232687"),
+    ("fuse --builtin takraw --condition 2 --trace --precision 6",
+     "06c2d354551d557c82246f8ffc0145c0a705e819ea701c3c7fc8777ec44ebc5b"),
+    ("fuse --builtin takraw --condition 2 --format json",
+     "bf05a29c7389e54ae34abfa191dde0b18e06aae77a50272560c7777db2890081"),
+    ("fuse --builtin takraw --condition 2 --format csv",
+     "37b90ce09362fb87d5513fe9fc39d670bcebb7c6cedf4dbd3506b6e6a3383ebf"),
+    ("fuse --builtin takraw --condition 3",
+     "a569890a3c3fbf32a5c8959756b172647267178db354d60de7719c6673314b64"),
+    ("fuse --builtin takraw --condition 3 --trace --precision 6",
+     "e2ad2d919a7267355c3cf5ddd9f0210385de4d6ce74988680e811d58ed5ee1ee"),
+    ("fuse --builtin takraw --condition 3 --format json",
+     "72751ebba86288487c15249fb6200a085131fde090347b6a402c0e568376c847"),
+    ("fuse --builtin takraw --condition 3 --format csv",
+     "6c2c83cf84852cadec73900f38ed50e92a2f16bbd2daa74cc07eb7ca927891c9"),
+    ("fuse --builtin takraw --condition 4",
+     "5d922d0344e783a7e0aee1015d34192f602785d2772508ab2a3adc228d0cc4ba"),
+    ("fuse --builtin takraw --condition 4 --trace --precision 6",
+     "2ce4833290dac70b38fe1dcf94d4c89131b3d9e3d448911afb997d6bf50f7420"),
+    ("fuse --builtin takraw --condition 4 --format json",
+     "68dec85f1db0e7a0af11dfef7f11536a23af419ebf24fc308b6e6878cc5db099"),
+    ("fuse --builtin takraw --condition 4 --format csv",
+     "fcef2f1fa28c5c0e18c87526dc68b46209c8233109f5149794456ac6015fdbe5"),
+    ("fuse --builtin takraw --condition 5",
+     "215d700549df41a0fdc4cb8a4204e2998c09a48158bbeb7b19733d5a74cb0fc6"),
+    ("fuse --builtin takraw --condition 5 --trace --precision 6",
+     "1bb62b0be6f454a09bd000fb5225909006f7b212372031d12875efd16c3816ea"),
+    ("fuse --builtin takraw --condition 5 --format json",
+     "b5e809a2588e2e3c83fb2091d608e69b6b316eb3fd9972a2afa11a2846184362"),
+    ("fuse --builtin takraw --condition 5 --format csv",
+     "231cdd3909bd867c79b0ff26bc7547ee9661cc38be8f0bbc8ca249bb977488d5"),
+    ("fuse --builtin takraw --condition 6",
+     "997dba5bee4a19eb28c20ab6586574383eb0b22d800f705f2079beaf680b15b5"),
+    ("fuse --builtin takraw --condition 6 --trace --precision 6",
+     "c936b49fcc7c8c31c58477694dc027f844f6a56122d61d6dc14a89bcded065a7"),
+    ("fuse --builtin takraw --condition 6 --format json",
+     "c05f1ed4d3a14dce8f74e720a039b138863c791033d6e8a55290b54479144bb8"),
+    ("fuse --builtin takraw --condition 6 --format csv",
+     "7ec3fbd6b3c7f7d8d2e23f544ee627eb8df5d4a9871d975c24f6b697f9bd00c6"),
+    ("fuse --builtin takraw --condition 7",
+     "357469a883112f2c92b7660f6995e7d5e2ec87dd188b61b77a6677d6891e3bdf"),
+    ("fuse --builtin takraw --condition 7 --trace --precision 6",
+     "1e038f490079139e72c82886e432f5cd1baad5f7d8dd451d7fec07d92f50f072"),
+    ("fuse --builtin takraw --condition 7 --format json",
+     "79bf1017c21bb00ac4799e377774328d62872eef413a6ac16984bf2ad10fd9f4"),
+    ("fuse --builtin takraw --condition 7 --format csv",
+     "3c8545d20ddba968194d87e115d64f4bd8f13eb48e1803d5cb24666303cb0c62"),
+    ("fuse --builtin takraw --condition 8",
+     "5e405c850818db87ed42ada3dcc9020d2b28ee65da0b84197bfec81a0ac7d21f"),
+    ("fuse --builtin takraw --condition 8 --trace --precision 6",
+     "ed472243f7df2671570551b6a0e560659d148a963b9c9f2004dc582dd44b7eed"),
+    ("fuse --builtin takraw --condition 8 --format json",
+     "1b205b9a2207760776f4194801f7de4d72430560e3fc4531944ec734ff7c4fdd"),
+    ("fuse --builtin takraw --condition 8 --format csv",
+     "5234d83a54ae6ddb4b0c604d212fd2f35966304f8c7ff6fd84acad6dc0c4e4c3"),
+    ("fuse --builtin takraw --condition 9",
+     "978c8a395f84080d4e0e84828b2c7376d75c27854e32d10770d5113fbbb07bef"),
+    ("fuse --builtin takraw --condition 9 --trace --precision 6",
+     "d5a2143e5310d60200754a51ee22746cdc744678fe0cf681e7419958c679549d"),
+    ("fuse --builtin takraw --condition 9 --format json",
+     "8ae96599ee3921e4af9a6f52c38c7d2dc14d6f8f1525ab65a29dcf312715891d"),
+    ("fuse --builtin takraw --condition 9 --format csv",
+     "e36659fc07d4be90d0b6dfe4438075f0e0b7a592eff499b80ddbf03ee5aa0e2a"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "command, digest", GOLDEN_STDOUT, ids=[c for c, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_bytes(self, capsys, command, digest):
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert sha256(out) == digest
+
+    def test_conflict_sweep_bytes(self, capsys, tmp_path, monkeypatch):
+        # the table names the scenario by the path given, so keep it relative
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conflict.json").write_text(CONFLICT_DOC)
+        code, out, err = run(capsys, "sweep", "--scenario", "conflict.json")
+        assert (code, err) == (3, "condition 2: total conflict at step 1 (k = 1.0)\n")
+        assert sha256(out) == (
+            "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"
+        )
 
 
 class TestDeterminism:

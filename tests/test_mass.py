@@ -1,6 +1,8 @@
 """Mass functions: construction rules, belief, plausibility, core."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +137,24 @@ class TestSimpleSupport:
     def test_weight_out_of_range(self, flrb, weight):
         with pytest.raises(WeightOutOfRangeError):
             MassFunction.simple_support(flrb.subset(["F"]), weight)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            "0.5", b"0.5", bytearray(b"0.5"), memoryview(b"0.5"), True, None, "x",
+            1 + 0j, Decimal("sNaN"), Decimal("NaN"),
+        ],
+        ids=lambda w: type(w).__name__ if isinstance(w, memoryview) else repr(w),
+    )
+    def test_non_number_weight(self, flrb, weight):
+        with pytest.raises(WeightOutOfRangeError):
+            MassFunction.simple_support(flrb.subset(["F"]), weight)
+
+    @pytest.mark.parametrize("weight", [Decimal("0.75"), Fraction(3, 4)], ids=repr)
+    def test_number_weight_converted(self, flrb, weight):
+        m = MassFunction.simple_support(flrb.subset(["F"]), weight)
+        assert m.focal_elements() == [(flrb.subset(["F"]), 0.75), (flrb.full, 0.25)]
+        assert all(type(value) is float for _, value in m.focal_elements())
 
 
 class TestBeliefPlausibility:

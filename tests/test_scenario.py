@@ -1,6 +1,8 @@
 """The takraw prediction model: builtin data, winners, sweeps, tie rules."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +17,10 @@ from dsfusion import (
     TotalConflictError,
     ValidationError,
     builtin_takraw_scenario,
+    emit_scenario,
     evidence_for,
     fusion_report,
+    parse_scenario,
     predict,
     prediction_from_report,
     select_winner,
@@ -97,6 +101,34 @@ class TestScenarioValidation:
     def test_weight_out_of_range(self, weight):
         with pytest.raises(ValidationError):
             self.make(bpa=[(weight,)])
+
+    @pytest.mark.parametrize(
+        "labels, name, weight",
+        [
+            pytest.param(("F", "B"), "m1", "0.5", id="str-weight"),
+            pytest.param(("F", "B"), "m1", b"0.5", id="bytes-weight"),
+            pytest.param(("F", "B"), "m1", True, id="bool-weight"),
+            pytest.param(("F", "B"), "m1", "x", id="text-weight"),
+            pytest.param(("F", "B"), "m1", None, id="none-weight"),
+            pytest.param(("F", "B"), "m1", 1 + 0j, id="complex-weight"),
+            pytest.param(("F", "B"), 7, 0.5, id="int-name"),
+            pytest.param(("F", "B"), "m\ud800", 0.5, id="surrogate-name"),
+            pytest.param(("F", "\ud800"), "m1", 0.5, id="surrogate-label"),
+        ],
+    )
+    def test_rejects_what_a_document_cannot_hold(self, labels, name, weight):
+        frame = Frame(labels)
+        with pytest.raises(ValidationError):
+            Scenario(frame, [Motion(name, frame.subset(["F"]))], [(weight,)])
+
+    @pytest.mark.parametrize(
+        "weight", [1, 0.25, Decimal("0.5"), Fraction(3, 4)], ids=type
+    )
+    def test_numbers_become_floats_and_round_trip(self, weight):
+        s = self.make(bpa=[(weight,)])
+        assert s.bpa == ((float(weight),),)
+        assert type(s.bpa[0][0]) is float
+        assert parse_scenario(emit_scenario(s)) == s
 
     def test_structural_equality(self):
         assert self.make() == self.make()
