@@ -15,6 +15,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from . import __version__
 from .document import emit_scenario, parse_scenario, scenario_digest
 from .errors import EvidenceError, ParseError, TotalConflictError
 from .render import (
@@ -60,10 +61,12 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the dsfusion command line (``main`` reuses its first one)."""
     parser = argparse.ArgumentParser(
         prog="dsfusion",
         description="Dempster-Shafer evidence fusion for direction-prediction scenarios.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     fuse = commands.add_parser("fuse", help="fuse one condition and report the winner")
@@ -166,8 +169,17 @@ _COMMANDS = {
 }
 
 
+# Built by main's first call.  Reuse is safe: parse_args makes fresh namespaces
+# on every call, and argparse reads the terminal width and sys.stdout/stderr
+# when it prints, not when it is built.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

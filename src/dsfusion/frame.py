@@ -135,9 +135,13 @@ class Subset:
     @property
     def labels(self) -> tuple[str, ...]:
         """Member labels in frame order."""
-        return tuple(
+        # A list, not a generator: tuple(genexpr) allocates a 10-slot tuple and
+        # resizes it, which moves one tuple per call from CPython's size-10
+        # free list to the list for its final size.  Those lists are emptied
+        # only by a full GC pass, so in a long-lived process they pile up.
+        return tuple([
             label for i, label in enumerate(self._frame.labels) if self._mask >> i & 1
-        )
+        ])
 
     @property
     def is_empty(self) -> bool:

@@ -15,6 +15,7 @@ from collections.abc import Iterable, Mapping
 from .errors import (
     EmptyFocalError,
     EmptySetMassError,
+    EvidenceError,
     FocalIsFullFrameError,
     MassError,
     NegativeMassError,
@@ -28,18 +29,19 @@ SUM_TOLERANCE = 1e-9
 Entries = Mapping[Subset, float] | Iterable[tuple[Subset, float]]
 
 
-def _as_weight(value: object) -> float:
-    """A support weight as a float; text, bools and non-numbers are refused."""
+def _as_float(value: object, error: type[EvidenceError], what: str) -> float:
+    """A weight or mass as a float, else ``error``: text, bools, non-numbers
+    and ints beyond the float range are refused."""
     if not isinstance(value, (bool, str, bytes, bytearray, memoryview)):
         try:
             return float(value)
         except OverflowError:  # an int beyond the float range
-            raise WeightOutOfRangeError(
-                "a weight is too large for a float, so outside (0, 1]"
+            raise error(
+                f"a {what} is too large for a float, so outside (0, 1]"
             ) from None
         except (TypeError, ValueError):
             pass
-    raise WeightOutOfRangeError(f"weight {value!r} is not a number")
+    raise error(f"{what} {value!r} is not a number")
 
 
 class MassFunction:
@@ -53,6 +55,7 @@ class MassFunction:
         accumulated: dict[int, float] = {}
         for subset, mass in entries:
             frame.check_same(subset.frame)
+            mass = _as_float(mass, MassError, "mass")
             if not math.isfinite(mass):
                 raise MassError(f"mass {mass!r} for {subset!r} is not finite")
             if mass < 0.0:
@@ -96,7 +99,7 @@ class MassFunction:
             raise FocalIsFullFrameError(
                 "use MassFunction.vacuous for all-mass-on-the-frame"
             )
-        weight = _as_weight(weight)
+        weight = _as_float(weight, WeightOutOfRangeError, "weight")
         if not 0.0 < weight <= 1.0:
             raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
         frame = focal.frame

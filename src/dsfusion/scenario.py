@@ -26,11 +26,10 @@ from .errors import (
     ConditionOutOfRangeError,
     EvidenceError,
     ValidationError,
-    WeightOutOfRangeError,
 )
 from .frame import Frame, Subset
 from .fusion import FusionReport, fuse_all
-from .mass import MassFunction, _as_weight
+from .mass import MassFunction, _as_float
 
 
 def _encodable(text: str) -> bool:
@@ -78,10 +77,9 @@ class Scenario:
             if motion.name in names:
                 raise ValidationError(f"duplicate motion name {motion.name!r}")
             names.add(motion.name)
-        try:
-            rows = tuple(tuple(_as_weight(w) for w in row) for row in bpa)
-        except WeightOutOfRangeError as exc:
-            raise ValidationError(str(exc)) from None
+        rows = tuple([
+            tuple([_as_float(w, ValidationError, "weight") for w in row]) for row in bpa
+        ])
         if not rows:
             raise ValidationError("a scenario needs at least one condition")
         for c, row in enumerate(rows, start=1):
@@ -261,5 +259,7 @@ def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
         try:
             results.append(predict(scenario, condition))
         except EvidenceError as exc:
-            results.append(SweepFailure(condition, exc))
+            # The traceback would pin every frame of the failed fold (and
+            # this one, a cycle) for as long as the results are held.
+            results.append(SweepFailure(condition, exc.with_traceback(None)))
     return results

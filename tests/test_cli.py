@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dsfusion import builtin_takraw_scenario, parse_scenario
+from dsfusion import __version__, builtin_takraw_scenario, cli, parse_scenario
 from dsfusion.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -479,6 +479,54 @@ class TestGoldenOutput:
         assert sha256(out) == (
             "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"
         )
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for _ in range(3):
+            run(capsys, "sweep", "--builtin", "takraw")
+            run(capsys, "fuse", "--builtin", "takraw", "--condition", "2", "--trace")
+            run(capsys, "--help")
+            run(capsys, "fuse", "--condition", "1")
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_golden_output_after_help_usage_error_and_trace(self, capsys):
+        assert run(capsys, "--help")[0] == 0
+        assert run(capsys, "fuse", "--builtin", "takraw")[0] == 1
+        code, out, _ = run(
+            capsys, "fuse", "--builtin", "takraw", "--condition", "3", "--trace"
+        )
+        assert code == 0 and out
+        for command, digest in GOLDEN_STDOUT:
+            code, out, err = run(capsys, *command.split())
+            assert (code, err, sha256(out)) == (0, "", digest), command
+
+
+class TestVersion:
+    def test_version_has_one_owner(self, capsys):
+        import tomllib
+
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            pyproject = tomllib.load(handle)
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "dsfusion.__version__"
+        }
+        code, out, err = run(capsys, "--version")
+        assert (code, out, err) == (0, f"dsfusion {__version__}\n", "")
 
 
 class TestDeterminism:

@@ -71,6 +71,20 @@ class TestConstruction:
         with pytest.raises(MassError, match="not finite"):
             MassFunction(flrb, {flrb.subset(["F"]): 1.0, flrb.subset(["L"]): value})
 
+    @pytest.mark.parametrize(
+        "value", ["0.5", None, True, 10**400],
+        ids=["str", "None", "True", "int-beyond-float-range"],
+    )
+    def test_non_number_mass(self, flrb, value):
+        # checked like a simple-support weight: no text, bools or huge ints
+        with pytest.raises(MassError):
+            MassFunction(flrb, {flrb.subset(["F"]): value})
+
+    def test_decimal_mass_converted(self, flrb):
+        m = MassFunction(flrb, {flrb.subset(["F"]): Decimal("0.5"), flrb.full: 0.5})
+        assert m.focal_elements() == [(flrb.subset(["F"]), 0.5), (flrb.full, 0.5)]
+        assert all(type(value) is float for _, value in m.focal_elements())
+
     def test_duplicate_subsets_are_summed(self, flrb):
         f = flrb.subset(["F"])
         m = MassFunction(flrb, [(f, 0.3), (f, 0.45), (flrb.full, 0.25)])

@@ -364,3 +364,14 @@ class TestSweep:
         assert isinstance(results[1].error, TotalConflictError)
         assert results[1].condition == 2
         assert isinstance(results[2], Prediction)
+
+    def test_failure_keeps_no_traceback(self):
+        # a traceback would pin every frame of the failed fold
+        frame = Frame(["F", "B"])
+        motions = [Motion("m1", frame.subset(["F"])), Motion("m2", frame.subset(["B"]))]
+        s = Scenario(frame, motions, [(1.0, 1.0)])
+        error = sweep(s)[0].error
+        assert error.__traceback__ is None
+        assert (error.step, error.conflict, str(error)) == (
+            1, 1.0, "total conflict at step 1 (k = 1.0)"
+        )
