@@ -4,9 +4,10 @@ Three subcommands: ``fuse`` runs one condition (optionally printing a
 combination table per fold step), ``sweep`` predicts every condition, and
 ``export-builtin`` writes a bundled scenario as an editable JSON document.
 
-Exit codes: 0 success, 1 usage error (including unreadable files), 2
-validation error, 3 total conflict.  Diagnostics go to stderr; stdout gets
-either the complete report or nothing.
+Exit codes: 0 success, 1 usage error (including unreadable files and a
+stdout that cannot encode the report), 2 validation error, 3 total
+conflict.  Diagnostics go to stderr; stdout gets either the complete report
+or nothing.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(exc: Exception) -> int:
-    """The exit code for an error: usage for OSError, else conflict or validation."""
-    if isinstance(exc, OSError):
+    """The exit code for an error: usage for I/O, else conflict or validation."""
+    # UnicodeEncodeError: stdout's encoding (say PYTHONIOENCODING=ascii) cannot
+    # carry the report, which is encoded whole, so nothing reached stdout.
+    if isinstance(exc, (OSError, UnicodeEncodeError)):
         return EXIT_USAGE
     return EXIT_CONFLICT if isinstance(exc, TotalConflictError) else EXIT_VALIDATION
 
@@ -187,7 +190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, EvidenceError) as exc:
+    except (OSError, UnicodeEncodeError, EvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

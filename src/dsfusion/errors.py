@@ -94,7 +94,12 @@ class TotalConflictError(FusionError):
 
 
 class ExplosionGuardError(FusionError):
-    """The n-way enumeration would exceed the focal-product cap."""
+    """A fold or enumeration would exceed its size cap.
+
+    ``fuse_all`` (and so ``fold``, ``predict`` and ``sweep``) raises it for a
+    step that would cross more than ``FOLD_CELL_CAP`` focal pairs, and
+    ``oracle_fuse_all`` for more than ``ORACLE_TUPLE_CAP`` focal tuples.
+    """
 
 
 class EmptyInputError(FusionError):

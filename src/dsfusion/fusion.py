@@ -44,6 +44,10 @@ from .mass import MassFunction
 
 CONFLICT_EPSILON = 1e-9
 ORACLE_TUPLE_CAP = 10_000_000
+# Focal pairs one step of fuse_all may cross.  A fold of simple supports can
+# double its focal count at every step, so a few dozen sources could need
+# minutes and gigabytes; the cap refuses such a fold in well under a second.
+FOLD_CELL_CAP = 2**18
 
 
 class CombinationCell(NamedTuple):
@@ -193,7 +197,9 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     """Fold sources left to right, recording each step's result and conflict.
 
     Step i combines the accumulated result with source i+1 and renormalizes,
-    exactly like working through the combination tables one by one.
+    exactly like working through the combination tables one by one.  A step
+    that would cross more than ``FOLD_CELL_CAP`` focal pairs raises
+    :class:`ExplosionGuardError` before it starts.
     """
     frame = _common_frame(sources)
     sources = tuple(sources)
@@ -201,6 +207,12 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     results = [acc]
     ks: list[float] = []
     for step_no, source in enumerate(sources[1:], start=1):
+        cells = len(acc) * len(source)
+        if cells > FOLD_CELL_CAP:
+            raise ExplosionGuardError(
+                f"step {step_no} would cross {cells} focal pairs, "
+                f"over the cap of {FOLD_CELL_CAP}"
+            )
         products, k = _cross(acc, source)
         acc = _normalize(frame, products, k, step=step_no)
         results.append(acc)

@@ -94,10 +94,10 @@ class MassFunction:
         ``focal`` and residual ignorance ``1 - weight``.
         """
         if focal.is_empty:
-            raise EmptyFocalError("the focal set of a simple support is non-empty")
+            raise EmptyFocalError("a simple support needs a non-empty focal set")
         if focal.is_full:
             raise FocalIsFullFrameError(
-                "use MassFunction.vacuous for all-mass-on-the-frame"
+                "a simple support's focal set must be a proper subset of the frame"
             )
         weight = _as_float(weight, WeightOutOfRangeError, "weight")
         if not 0.0 < weight <= 1.0:

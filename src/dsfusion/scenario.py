@@ -25,11 +25,12 @@ from typing import NamedTuple
 from .errors import (
     ConditionOutOfRangeError,
     EvidenceError,
+    MassError,
     ValidationError,
 )
 from .frame import Frame, Subset
 from .fusion import FusionReport, fuse_all
-from .mass import MassFunction, _as_float
+from .mass import MassFunction
 
 
 def _encodable(text: str) -> bool:
@@ -48,7 +49,7 @@ class Motion(NamedTuple):
 class Scenario:
     """Motions plus a [condition][motion] weight matrix over one frame."""
 
-    __slots__ = ("_frame", "_motions", "_bpa")
+    __slots__ = ("_frame", "_motions", "_bpa", "_evidence")
 
     def __init__(
         self,
@@ -67,35 +68,36 @@ class Scenario:
         names = set()
         for motion in motions:
             frame.check_same(motion.direction.frame)
-            if motion.direction.is_empty:
-                raise ValidationError(f"motion {motion.name!r} has an empty direction")
-            if motion.direction.is_full:
-                raise ValidationError(
-                    f"motion {motion.name!r} supports the whole frame; "
-                    "a motion must commit to a proper subset"
-                )
             if motion.name in names:
                 raise ValidationError(f"duplicate motion name {motion.name!r}")
             names.add(motion.name)
-        rows = tuple([
-            tuple([_as_float(w, ValidationError, "weight") for w in row]) for row in bpa
-        ])
-        if not rows:
-            raise ValidationError("a scenario needs at least one condition")
-        for c, row in enumerate(rows, start=1):
+        # simple_support owns the rules: a proper non-empty focal, a weight in (0, 1].
+        evidence = []
+        for c, row in enumerate(bpa, start=1):
+            row = tuple(row)
             if len(row) != len(motions):
                 raise ValidationError(
                     f"condition {c} has {len(row)} weights for {len(motions)} motions"
                 )
+            supports = []
             for motion, w in zip(motions, row):
-                if not 0.0 < w <= 1.0:
+                try:
+                    supports.append(MassFunction.simple_support(motion.direction, w))
+                except MassError as exc:
                     raise ValidationError(
-                        f"weight {w!r} for {motion.name!r} in condition {c} "
-                        "is outside (0, 1]"
-                    )
+                        f"motion {motion.name!r} in condition {c}: {exc}"
+                    ) from exc
+            evidence.append(tuple(supports))
+        if not evidence:
+            raise ValidationError("a scenario needs at least one condition")
         self._frame = frame
         self._motions = tuple(motions)
-        self._bpa = rows
+        self._evidence = tuple(evidence)
+        # A simple support's mass on its focal is the converted weight exactly.
+        self._bpa = tuple([
+            tuple([m.mass(motion.direction) for motion, m in zip(motions, row)])
+            for row in evidence
+        ])
 
     @property
     def frame(self) -> Frame:
@@ -199,16 +201,13 @@ def builtin_takraw_scenario() -> Scenario:
 
 
 def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
-    """One simple support function per motion, in motion order (1-based condition)."""
+    """The simple supports ``Scenario(...)`` built for a 1-based condition, in
+    motion order (shared, since a :class:`MassFunction` cannot be changed)."""
     if not 1 <= condition <= scenario.condition_count:
         raise ConditionOutOfRangeError(
             f"condition {condition} outside 1..{scenario.condition_count}"
         )
-    row = scenario.bpa[condition - 1]
-    return [
-        MassFunction.simple_support(motion.direction, weight)
-        for motion, weight in zip(scenario.motions, row)
-    ]
+    return list(scenario._evidence[condition - 1])
 
 
 def select_winner(final: MassFunction) -> Subset:

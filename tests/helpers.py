@@ -7,6 +7,7 @@ enough that sums land within normalization tolerance.
 
 from __future__ import annotations
 
+import json
 import random
 
 from dsfusion import Frame, MassFunction, Motion, Scenario
@@ -66,3 +67,21 @@ def random_scenario(rng: random.Random) -> Scenario:
         for _ in range(conditions)
     ]
     return Scenario(frame, motions, bpa)
+
+
+def doubling_document() -> str:
+    """A one-condition scenario document whose fold doubles its focal count.
+
+    64 labels and 22 sources; each supports 60 labels at weight 0.5.  Source
+    i leaves out label i, which every other source keeps, and three of the
+    labels 22..63.  So the first n sources (n <= 18) intersect in 2**n
+    distinct non-empty sets, and fuse_all's step n crosses 2**(n + 1) focal
+    pairs: step 17 exactly FOLD_CELL_CAP, step 18 twice that.
+    """
+    labels = [f"h{i}" for i in range(64)]
+    sources = []
+    for i in range(22):
+        left_out = {i, *(22 + (3 * i + j) % 42 for j in range(3))}
+        focal = [label for n, label in enumerate(labels) if n not in left_out]
+        sources.append({"name": f"s{i}", "focal": focal, "bpa": [0.5]})
+    return json.dumps({"frame": labels, "sources": sources})

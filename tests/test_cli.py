@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 from dsfusion import __version__, builtin_takraw_scenario, cli, parse_scenario
 from dsfusion.cli import main
+
+from helpers import doubling_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -455,6 +458,31 @@ GOLDEN_STDOUT = [
     ("fuse --builtin takraw --condition 9 --format csv",
      "e36659fc07d4be90d0b6dfe4438075f0e0b7a592eff499b80ddbf03ee5aa0e2a"),
 ]
+
+
+class TestOutputLimits:
+    def test_exploding_fold_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "doubling.json"
+        path.write_text(doubling_document())
+        code, out, err = run(capsys, "fuse", "--scenario", str(path), "--condition", "1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: step 18 ")
+
+    def test_stdout_that_cannot_encode_the_report(self):
+        # the table writes Θ for the full frame, which ascii cannot carry
+        result = subprocess.run(
+            [sys.executable, "-m", "dsfusion.cli", "fuse", "--builtin", "takraw",
+             "--condition", "1"],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(ROOT / "src"),
+                "PYTHONIOENCODING": "ascii",
+            },
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
 
 
 def sha256(text):

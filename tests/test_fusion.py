@@ -15,12 +15,14 @@ from dsfusion import (
     combine,
     combine_traced,
     conflict,
+    evidence_for,
     fold,
     fuse_all,
     oracle_fuse_all,
+    parse_scenario,
 )
 
-from helpers import random_mass
+from helpers import doubling_document, random_mass
 
 FLRB = Frame(["F", "L", "R", "B"])
 
@@ -343,6 +345,15 @@ class TestFuseAll:
                 continue
             done += 1
             assert fold(sources) == report.final
+
+
+class TestFoldCap:
+    def test_doubling_fold_is_refused_at_step_18(self):
+        sources = evidence_for(parse_scenario(doubling_document()), 1)
+        # step 17 crosses exactly the cap, 2**18 pairs, and runs; step 18 would
+        # cross twice that
+        with pytest.raises(ExplosionGuardError, match="step 18 .* 524288 focal pairs"):
+            fold(sources)
 
 
 class TestOracle:

@@ -130,6 +130,25 @@ class TestScenarioValidation:
         assert type(s.bpa[0][0]) is float
         assert parse_scenario(emit_scenario(s)) == s
 
+    @pytest.mark.parametrize(
+        "direction, weight, condition",
+        [
+            # a bad direction already fails in condition 1
+            pytest.param([], 0.5, 1, id="empty-direction"),
+            pytest.param(["F", "B"], 0.5, 1, id="full-direction"),
+            pytest.param(["F"], 1.5, 2, id="weight-out-of-range"),
+            pytest.param(["F"], "x", 2, id="text-weight"),
+            pytest.param(["F"], 10**400, 2, id="int-beyond-float-range"),
+        ],
+    )
+    def test_rejection_names_motion_and_condition(self, direction, weight, condition):
+        frame = Frame(["F", "B"])
+        motions = [Motion("m1", frame.subset(["F"])), Motion("m2", frame.subset(direction))]
+        with pytest.raises(
+            ValidationError, match=f"^motion 'm2' in condition {condition}: "
+        ):
+            Scenario(frame, motions, [(0.5, 0.5), (0.5, weight)])
+
     def test_structural_equality(self):
         assert self.make() == self.make()
         other = self.make(bpa=[(0.6,)])
@@ -190,6 +209,21 @@ class TestEvidenceFor:
     def test_condition_out_of_range(self, condition):
         with pytest.raises(ConditionOutOfRangeError):
             evidence_for(builtin_takraw_scenario(), condition)
+
+    def test_built_once_per_scenario(self, monkeypatch):
+        takraw = builtin_takraw_scenario()
+        calls = []
+        simple_support = MassFunction.simple_support
+
+        def counting_simple_support(focal, weight):
+            calls.append(1)
+            return simple_support(focal, weight)
+
+        monkeypatch.setattr(MassFunction, "simple_support", counting_simple_support)
+        assert evidence_for(takraw, 2) == evidence_for(takraw, 2)
+        predict(takraw, 1)
+        sweep(takraw)
+        assert calls == []
 
 
 class TestSelectWinner:

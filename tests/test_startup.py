@@ -28,9 +28,10 @@ from dsfusion.render import RunReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# dataclasses (with inspect, ast, dis) and the modules only one path uses:
-# the exact-rational oracle, the scenario digest and CSV output.
-DEFERRED = ("dataclasses", "inspect", "fractions", "hashlib", "csv")
+# dataclasses (with inspect, ast, dis), the modules only one path uses (the
+# exact-rational oracle, the scenario digest and CSV output), and logging,
+# which dsfusion does not use and which costs several ms to import.
+DEFERRED = ("dataclasses", "inspect", "fractions", "hashlib", "csv", "logging")
 
 
 def test_cli_import_loads_no_deferred_module():
