@@ -125,7 +125,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     run = RunReport(
         scenario=scenario,
         scenario_name=name,
-        scenario_digest=scenario_digest(scenario),
+        # Only the table prints the digest; JSON and CSV need not hash.
+        scenario_digest=scenario_digest(scenario) if args.format == "table" else "",
         condition=args.condition,
         report=report,
         prediction=prediction_from_report(report, args.condition),

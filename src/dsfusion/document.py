@@ -12,10 +12,11 @@ Layout::
     }
 
 Every source carries one weight per condition; the condition count is the
-(shared) length of the ``bpa`` arrays.  Structural problems raise
-:class:`SchemaError`, malformed JSON raises :class:`ParseError`, and
-semantic problems (weights outside (0, 1], unknown labels, duplicate names)
-raise :class:`ValidationError`.
+(shared) length of the ``bpa`` arrays.  The sources go, in this per-source
+layout, to the one builder that ``builtin_takraw_scenario`` shares.
+Structural problems raise :class:`SchemaError`, malformed JSON raises
+:class:`ParseError`, and semantic problems (weights outside (0, 1], unknown
+labels, duplicate names) raise :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import json
 import sys
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
-from .frame import Frame
-from .scenario import Motion, Scenario, _encodable
+from .scenario import Scenario, _encodable, _from_sources
 
 _TOP_KEYS = {"frame", "sources"}
 _SOURCE_KEYS = {"name", "focal", "bpa"}
@@ -69,9 +69,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(sources, list) or not sources:
         raise SchemaError('"sources" must be a non-empty array')
 
-    names: list[str] = []
-    focals: list[list[str]] = []
-    rows: list[list[int | float]] = []
+    rows: list[tuple[str, list[str], list[int | float]]] = []
     for i, source in enumerate(sources):
         where = f"sources[{i}]"
         if not isinstance(source, dict):
@@ -89,21 +87,15 @@ def parse_scenario(text: str) -> Scenario:
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in bpa
         ):
             raise SchemaError(f'{where}["bpa"] must be an array of numbers')
-        names.append(source["name"])
-        focals.append(_string_list(source["focal"], f'{where}["focal"]'))
-        rows.append(bpa)
+        focal = _string_list(source["focal"], f'{where}["focal"]')
+        rows.append((source["name"], focal, bpa))
 
-    lengths = {len(row) for row in rows}
+    lengths = {len(bpa) for _, _, bpa in rows}
     if len(lengths) != 1:
         raise SchemaError(f"bpa arrays disagree in length: {sorted(lengths)}")
 
     try:
-        frame = Frame(labels)
-        motions = [
-            Motion(name, frame.subset(focal)) for name, focal in zip(names, focals)
-        ]
-        bpa = [[row[c] for row in rows] for c in range(len(rows[0]))]
-        return Scenario(frame, motions, bpa)
+        return _from_sources(labels, rows)
     except ValidationError:
         raise
     except EvidenceError as exc:
@@ -112,15 +104,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario; ``parse_scenario`` round-trips it exactly."""
-    bpa_by_source = [
-        [scenario.bpa[c][i] for c in range(scenario.condition_count)]
-        for i in range(len(scenario.motions))
-    ]
     document = {
         "frame": list(scenario.frame.labels),
         "sources": [
             {"name": motion.name, "focal": list(motion.direction.labels), "bpa": row}
-            for motion, row in zip(scenario.motions, bpa_by_source)
+            for motion, row in zip(scenario.motions, zip(*scenario.bpa))
         ],
     }
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"

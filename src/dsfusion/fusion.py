@@ -247,7 +247,7 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
         [(mask, Fraction(repr(mass))) for mask, mass in m.mask_items()]
         for m in sources
     ]
-    full_mask = frame.full.mask
+    full_mask = frame._full_mask
     acc: dict[int, Fraction] = {}
     for combo in itertools.product(*rational):
         inter = full_mask

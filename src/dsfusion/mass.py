@@ -84,7 +84,7 @@ class MassFunction:
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
-        return cls._from_mask_dict(frame, {frame.full.mask: 1.0})
+        return cls._from_mask_dict(frame, {frame._full_mask: 1.0})
 
     @classmethod
     def simple_support(cls, focal: Subset, weight: float) -> MassFunction:
@@ -107,7 +107,7 @@ class MassFunction:
             return cls._from_mask_dict(frame, {focal.mask: 1.0})
         # A proper focal's mask is below the full mask, so the keys are sorted.
         return cls._from_mask_dict(
-            frame, {focal.mask: weight, frame.full.mask: 1.0 - weight}
+            frame, {focal.mask: weight, frame._full_mask: 1.0 - weight}
         )
 
     @property

@@ -185,27 +185,26 @@ _TAKRAW_MOTIONS: tuple[tuple[str, tuple[str, ...], tuple[float, ...]], ...] = (
 )
 
 
+def _from_sources(labels: Sequence[str], sources: Sequence[tuple]) -> Scenario:
+    """A scenario from the paper's per-source layout, which the JSON document
+    keeps: (name, focal labels, weights) rows whose weights, one per
+    condition and all of one length, transpose to per-condition rows."""
+    frame = Frame(labels)
+    motions = [Motion(name, frame.subset(focal)) for name, focal, _ in sources]
+    return Scenario(frame, motions, list(zip(*(weights for _, _, weights in sources))))
+
+
 def builtin_takraw_scenario() -> Scenario:
     """The bundled 10-motion, 9-condition bicycle-kick scenario."""
-    frame = Frame(_TAKRAW_LABELS)
-    motions = [
-        Motion(name, frame.subset(direction))
-        for name, direction, _ in _TAKRAW_MOTIONS
-    ]
-    condition_count = len(_TAKRAW_MOTIONS[0][2])
-    bpa = [
-        tuple(weights[c] for _, _, weights in _TAKRAW_MOTIONS)
-        for c in range(condition_count)
-    ]
-    return Scenario(frame, motions, bpa)
+    return _from_sources(_TAKRAW_LABELS, _TAKRAW_MOTIONS)
 
 
 def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
     """The simple supports ``Scenario(...)`` built for a 1-based condition, in
     motion order (shared, since a :class:`MassFunction` cannot be changed)."""
-    if not 1 <= condition <= scenario.condition_count:
+    if type(condition) is not int or not 1 <= condition <= scenario.condition_count:
         raise ConditionOutOfRangeError(
-            f"condition {condition} outside 1..{scenario.condition_count}"
+            f"condition {condition!r} outside 1..{scenario.condition_count}"
         )
     return list(scenario._evidence[condition - 1])
 
@@ -216,7 +215,7 @@ def select_winner(final: MassFunction) -> Subset:
     The full frame never wins (total ignorance is not a direction).  Exact
     ties go to the higher belief, then to the lower subset mask.
     """
-    full = final.frame.full.mask
+    full = final.frame._full_mask
     eligible = [(mask, m) for mask, m in final.mask_items() if mask != full]
     if not eligible:
         raise ValidationError("no proper focal element to choose a winner from")

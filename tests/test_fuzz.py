@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dsfusion import EvidenceError, Scenario, parse_scenario, scenario_digest
 from dsfusion.cli import main
+from helpers import doubling_document
 
 
 def one_source_doc(weight: str, label: str = "b") -> str:
@@ -152,3 +153,39 @@ def test_cli_main_returns_an_exit_code(argv, content, tmp_path, monkeypatch, cap
         assert err == ""
     elif argv[:1] == ["fuse"]:
         assert out == ""
+
+
+@st.composite
+def wide_overlap_document(draw):
+    """A one-condition document on 20-64 labels with 16-24 sources, each focal
+    the frame minus 1-4 labels.  Any two focals meet, and the fold's focal
+    count can double at every step, up to FOLD_CELL_CAP."""
+    size = draw(st.integers(min_value=20, max_value=64))
+    labels = [f"h{i}" for i in range(size)]
+    left_out = st.sets(st.sampled_from(labels), min_size=1, max_size=4)
+    weight = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    sources = []
+    for i in range(draw(st.integers(min_value=16, max_value=24))):
+        dropped = draw(left_out)
+        focal = [label for label in labels if label not in dropped]
+        sources.append({"name": f"s{i}", "focal": focal, "bpa": [draw(weight)]})
+    return json.dumps({"frame": labels, "sources": sources})
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(["fuse", "sweep"]), document=wide_overlap_document())
+@example(command="fuse", document=doubling_document())
+def test_cli_main_on_wide_overlapping_focals(command, document, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(document, encoding="utf-8")
+    argv = [command, "--scenario", str(path)]
+    code = main(argv + ["--condition", "1"] if command == "fuse" else argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if command == "fuse" and code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

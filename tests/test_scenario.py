@@ -1,6 +1,7 @@
 """The takraw prediction model: builtin data, winners, sweeps, tie rules."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -209,6 +210,14 @@ class TestEvidenceFor:
     def test_condition_out_of_range(self, condition):
         with pytest.raises(ConditionOutOfRangeError):
             evidence_for(builtin_takraw_scenario(), condition)
+
+    @pytest.mark.parametrize("condition", [True, 1.0, "1", None], ids=repr)
+    def test_non_integer_condition(self, condition):
+        takraw = builtin_takraw_scenario()
+        with pytest.raises(ConditionOutOfRangeError, match=re.escape(repr(condition))):
+            evidence_for(takraw, condition)
+        with pytest.raises(ConditionOutOfRangeError):
+            predict(takraw, condition)
 
     def test_built_once_per_scenario(self, monkeypatch):
         takraw = builtin_takraw_scenario()

@@ -34,6 +34,17 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFERRED = ("dataclasses", "inspect", "fractions", "hashlib", "csv", "logging")
 
 
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    # -S: site would preload modules of its own and hide what dsfusion loads.
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
 def test_cli_import_loads_no_deferred_module():
     code = (
         "import sys\n"
@@ -41,17 +52,21 @@ def test_cli_import_loads_no_deferred_module():
         "import dsfusion.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
-    # -S: site would preload modules of its own and hide what dsfusion loads.
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = set(result.stdout.split())
+    loaded = set(_fresh_interpreter(code).stdout.split())
     assert "dsfusion.cli" in loaded
     assert sorted(loaded.intersection(DEFERRED)) == []
+
+
+def test_fuse_json_does_not_load_hashlib():
+    # Only the table report prints the scenario digest.
+    code = (
+        "import sys\n"
+        "from dsfusion.cli import main\n"
+        "argv = ['fuse', '--builtin', 'takraw', '--condition', '1', '--format', 'json']\n"
+        "code = main(argv)\n"
+        "print(code, 'hashlib' in sys.modules, file=sys.stderr)\n"
+    )
+    assert _fresh_interpreter(code).stderr.split() == ["0", "False"]
 
 
 def _records():
