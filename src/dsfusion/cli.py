@@ -45,16 +45,6 @@ EXIT_CONFLICT = 3
 _FORMATS = ("table", "json", "csv")
 
 
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}") from None
-    if not 1 <= value <= 12:
-        raise argparse.ArgumentTypeError("precision must be in 1..12")
-    return value
-
-
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", metavar="PATH", help="scenario JSON document")
@@ -82,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuse.add_argument("--format", choices=_FORMATS, default="table")
     fuse.add_argument(
-        "--precision", type=_precision, default=4, metavar="D",
+        "--precision", type=int, choices=range(1, 13), default=4, metavar="D",
         help="table decimal places, 1..12 (default 4)",
     )
 

@@ -119,6 +119,8 @@ class Subset:
     __slots__ = ("_frame", "_mask")
 
     def __init__(self, frame: Frame, mask: int):
+        if type(mask) is not int:
+            raise UnknownLabelError(f"mask {mask!r} is not an int")
         if mask < 0 or mask > frame._full_mask:
             raise UnknownLabelError(f"mask {mask:#x} has bits outside {frame!r}")
         self._frame = frame

@@ -11,15 +11,16 @@ Combination is refused once k reaches ``1 - CONFLICT_EPSILON``: dividing by a
 vanishing 1 - k amplifies noise beyond any meaningful precision, and k = 1
 exactly means the cores are disjoint.
 
-Every route runs the same cross-product loop, so they agree bit for bit by
-construction:
+Every fold route shares one cross-product loop, so they agree bit for bit
+by construction:
 
 * :func:`combine` pools two evidences; :func:`fuse_all` folds a sequence
   left to right, recording each step's normalized result and conflict, and
   :func:`fold` keeps only the final mass of that fold;
 * :func:`combine_traced` and :attr:`FusionReport.steps` wrap a combination in
-  a :class:`CombinationTrace`, whose cross-product cells (a hand-worked
-  combination table) are recomputed only when read;
+  a :class:`CombinationTrace`, which enumerates its cells (a hand-worked
+  combination table) from its two inputs only when read, in the same pair
+  order and with the same products m1(B) * m2(C) the loop sums;
 * :func:`oracle_fuse_all` is an independent brute-force check: it enumerates
   the full n-way product of focal tuples in exact rational arithmetic and
   normalizes once at the end.  Agreement of the sequential fold with this
@@ -75,12 +76,14 @@ class CombinationTrace(NamedTuple):
     @property
     def cells(self) -> tuple[CombinationCell, ...]:
         """The cross-product table, recomputed from ``inputs`` on each read."""
-        raw: list[tuple[int, int, int, float]] = []
-        _cross(*self.inputs, raw)
-        subset = self.inputs[0].frame.subset_from_mask
+        left, right = self.inputs
+        left.frame.check_same(right.frame)
+        subset = left.frame.subset_from_mask
+        right_items = right.mask_items()
         return tuple(
-            CombinationCell(subset(b), subset(c), subset(inter), p)
-            for b, c, inter, p in raw
+            CombinationCell(subset(b), subset(c), subset(b & c), mb * mc)
+            for b, mb in left.mask_items()
+            for c, mc in right_items
         )
 
 
@@ -120,17 +123,10 @@ def _common_frame(sources: Sequence[MassFunction]) -> Frame:
     return frame
 
 
-def _cross(
-    m1: MassFunction,
-    m2: MassFunction,
-    cells: list[tuple[int, int, int, float]] | None = None,
-) -> tuple[dict[int, float], float]:
+def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
     """The un-normalized cross product of two mass functions.
 
-    Returns the sums of m1(B)*m2(C) by non-empty intersection mask and the
-    conflict k.  Pairs are visited left focal ascending by mask, then right
-    focal ascending; when ``cells`` is given, each pair is appended to it as
-    ``(left mask, right mask, intersection mask, product)``.
+    Returns the m1(B)*m2(C) sums by non-empty intersection mask and the conflict k.
     """
     m1.frame.check_same(m2.frame)
     acc: dict[int, float] = {}
@@ -145,8 +141,6 @@ def _cross(
                 acc[inter] = get(inter, 0.0) + p
             else:
                 k += p
-            if cells is not None:
-                cells.append((b, c, inter, p))
     return acc, k
 
 

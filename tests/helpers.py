@@ -33,12 +33,9 @@ def random_simple_masses(
 ) -> list[MassFunction]:
     """Simple support functions with overlapping focals (never total conflict)."""
     n_subsets = (1 << len(frame)) - 1
-    full = frame.full.mask
     masses = []
     for _ in range(count):
         mask = rng.randrange(1, n_subsets)
-        if mask == full:
-            mask = 1
         weight = rng.randint(1, 99) / 100
         masses.append(
             MassFunction.simple_support(frame.subset_from_mask(mask), weight)
@@ -52,13 +49,10 @@ def random_scenario(rng: random.Random) -> Scenario:
     labels = [f"h{i}" for i in range(size)]
     frame = Frame(labels)
     n_subsets = (1 << size) - 1
-    full = frame.full.mask
 
     motions = []
     for i in range(rng.randint(1, 6)):
         mask = rng.randrange(1, n_subsets)
-        if mask == full:
-            mask = 1
         motions.append(Motion(f"motion {i}", frame.subset_from_mask(mask)))
 
     conditions = rng.randint(1, 4)

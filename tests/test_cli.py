@@ -459,6 +459,13 @@ GOLDEN_STDOUT = [
      "e36659fc07d4be90d0b6dfe4438075f0e0b7a592eff499b80ddbf03ee5aa0e2a"),
 ]
 
+# sha256 of --help output at an 80-column terminal.
+GOLDEN_HELP = [
+    ("--help", "94d3983b386d2615d791fc84d30576f5c01873b3166bb30587796c2836a083d1"),
+    ("fuse --help", "fe0718c1833f4c5f11d02b4dc18b00dd56256bb12892441955d23b46b1a52c75"),
+    ("sweep --help", "dac032b72ad9f23db9dc2f2bfb6c7b49c1af2ef9ca967bfd796e51d3f4a8b683"),
+]
+
 
 class TestOutputLimits:
     def test_exploding_fold_exits_2(self, capsys, tmp_path):
@@ -507,6 +514,14 @@ class TestGoldenOutput:
         assert sha256(out) == (
             "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"
         )
+
+    @pytest.mark.parametrize("command, digest", GOLDEN_HELP, ids=[c for c, _ in GOLDEN_HELP])
+    def test_help_bytes(self, capsys, monkeypatch, command, digest):
+        # argparse wraps help to the terminal width, which it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert sha256(out) == digest
 
 
 class TestParserReuse:

@@ -80,6 +80,11 @@ class TestSubsetConstruction:
         with pytest.raises(UnknownLabelError):
             flrb.subset_from_mask(-1)
 
+    @pytest.mark.parametrize("mask", [1.0, 100.0, -1.5, True, "1"])
+    def test_mask_not_an_int(self, flrb, mask):
+        with pytest.raises(UnknownLabelError, match="is not an int"):
+            flrb.subset_from_mask(mask)
+
     def test_member_order_follows_frame_order(self, flrb):
         # {L,B} stays (L, B) no matter the order labels were given in
         assert flrb.subset(["B", "L"]).labels == ("L", "B")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsfusion import (
+    CombinationTrace,
     EmptyInputError,
     ExplosionGuardError,
     Frame,
@@ -267,6 +268,12 @@ class TestCombineTraced:
                 assert value * (1 - trace.conflict) == pytest.approx(
                     contributions, abs=1e-9
                 )
+
+    def test_cells_refuse_inputs_on_two_frames(self, flrb):
+        m_a = MassFunction.vacuous(flrb)
+        m_b = MassFunction.vacuous(Frame(["F", "L", "R", "B"]))
+        with pytest.raises(FrameMismatchError):
+            CombinationTrace((m_a, m_b), 0.0, m_a).cells
 
     def test_total_conflict_carries_k(self, flrb):
         with pytest.raises(TotalConflictError) as exc_info:
