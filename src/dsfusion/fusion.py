@@ -9,10 +9,11 @@ empty set (the conflict k), and renormalizing the rest by 1 - k:
 
 Combination is refused once k reaches ``1 - CONFLICT_EPSILON``: dividing by a
 vanishing 1 - k amplifies noise beyond any meaningful precision, and k = 1
-exactly means the cores are disjoint.
+exactly means the cores are disjoint.  A product that underflows to exactly
+0.0 is dropped, so every stored mass stays strictly positive.
 
-Every fold route shares one cross-product loop, so they agree bit for bit
-by construction:
+Every fold route shares one cross-product loop, ``_cross``, so they agree bit
+for bit by construction:
 
 * :func:`combine` pools two evidences; :func:`fuse_all` folds a sequence
   left to right, recording each step's normalized result and conflict, and
@@ -26,6 +27,12 @@ by construction:
   normalizes once at the end.  Agreement of the sequential fold with this
   single-normalization enumeration is the associativity of the rule, kept as
   a test, not an assumption.
+
+The loop takes the right operand's ignorance column m2(Θ) apart: B n Θ = B,
+so that pair is added onto B without an intersection, still last in its
+row, and a right operand with a single proper focal beside Θ (a simple
+support) is crossed without an inner loop.  The pairs and the order they are
+summed in stay those of the plain double loop, so the sums are unchanged.
 """
 
 from __future__ import annotations
@@ -127,12 +134,31 @@ def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]
     """The un-normalized cross product of two mass functions.
 
     Returns the m1(B)*m2(C) sums by non-empty intersection mask and the conflict k.
+    Pairs are summed left-major: left focal B ascending, then right focal C
+    ascending.  When Θ is a right focal it is the last column, and B n Θ = B,
+    so each row adds m1(B)*m2(Θ) onto B after its proper focals with no
+    intersection or branch.  A right operand with one proper focal besides Θ
+    (every simple support with weight < 1) needs no inner loop at all.  Either
+    way each key receives the same products in the same order as the plain
+    double loop, so the sums are bit for bit the same.
     """
     m1.frame.check_same(m2.frame)
     acc: dict[int, float] = {}
     get = acc.get
     k = 0.0
     right = m2.mask_items()
+    m_full = right.pop()[1] if right[-1][0] == m2.frame._full_mask else None
+    if m_full is not None and len(right) == 1:
+        ((c, mc),) = right
+        for b, mb in m1.mask_items():
+            inter = b & c
+            p = mb * mc
+            if inter:
+                acc[inter] = get(inter, 0.0) + p
+            else:
+                k += p
+            acc[b] = get(b, 0.0) + mb * m_full
+        return acc, k
     for b, mb in m1.mask_items():
         for c, mc in right:
             inter = b & c
@@ -141,6 +167,8 @@ def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]
                 acc[inter] = get(inter, 0.0) + p
             else:
                 k += p
+        if m_full is not None:
+            acc[b] = get(b, 0.0) + mb * m_full
     return acc, k
 
 
@@ -152,14 +180,19 @@ def _normalize(
 ) -> MassFunction:
     if k >= 1.0 - CONFLICT_EPSILON:
         raise TotalConflictError(k, step=step)
+    if 0.0 in products.values():
+        # A product that underflowed to 0.0 is no focal element.
+        products = {mask: p for mask, p in products.items() if p}
     masks = sorted(products)
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
     # is amplified by the tiny denominator; the complementary sum keeps the
     # result summing to 1 for every admissible k.  With no conflict at all
     # the true denominator is exactly 1, so the combination stays bit-exact
-    # (vacuous stays neutral).
-    denom = sum([products[m] for m in masks]) if k > 0.0 else 1.0
+    # (vacuous stays neutral) and no division is needed.
+    if k == 0.0:
+        return MassFunction._from_mask_dict(frame, {m: products[m] for m in masks})
+    denom = sum([products[m] for m in masks])
     return MassFunction._from_mask_dict(
         frame, {mask: products[mask] / denom for mask in masks}
     )

@@ -63,6 +63,27 @@ def random_scenario(rng: random.Random) -> Scenario:
     return Scenario(frame, motions, bpa)
 
 
+def reference_cross(
+    m1: MassFunction, m2: MassFunction
+) -> tuple[dict[int, float], float]:
+    """The plain left-major double loop the fold kernel must match bit for bit.
+
+    Every focal pair is intersected, left focal ascending then right focal
+    ascending, and its product summed onto the intersection or into k.
+    """
+    acc: dict[int, float] = {}
+    k = 0.0
+    for b, mb in m1.mask_items():
+        for c, mc in m2.mask_items():
+            inter = b & c
+            p = mb * mc
+            if inter:
+                acc[inter] = acc.get(inter, 0.0) + p
+            else:
+                k += p
+    return acc, k
+
+
 def doubling_document() -> str:
     """A one-condition scenario document whose fold doubles its focal count.
 

@@ -23,7 +23,8 @@ from dsfusion import (
     parse_scenario,
 )
 
-from helpers import doubling_document, random_mass
+from dsfusion.fusion import _cross, _normalize
+from helpers import doubling_document, random_mass, reference_cross
 
 FLRB = Frame(["F", "L", "R", "B"])
 
@@ -337,6 +338,16 @@ class TestFuseAll:
             fuse_all(sources)
         assert exc_info.value.step == 2
 
+    def test_underflowed_product_is_dropped(self, flrb):
+        # 1e-200 * 1e-200 underflows to 0.0 on {F}; that is no focal element
+        report = fuse_all(
+            [
+                MassFunction.simple_support(flrb.subset(["F", "L"]), 1e-200),
+                MassFunction.simple_support(flrb.subset(["F", "R"]), 1e-200),
+            ]
+        )
+        assert report.final.mask_items() == [(3, 1e-200), (5, 1e-200), (15, 1.0)]
+
     def test_fold_matches_fuse_all(self, flrb):
         sources = condition_1_sources(flrb)
         assert fold(sources) == fuse_all(sources).final
@@ -450,3 +461,72 @@ def test_associativity_and_oracle_agreement(a, b, c):
     oracle = oracle_fuse_all([a, b, c])
     assert left.isclose(oracle, tolerance=1e-9)
     assert right.isclose(oracle, tolerance=1e-9)
+
+
+def kernel_operands():
+    """Strategy: every operand shape the fold kernel distinguishes.
+
+    General masses with and without Θ, simple supports with weight < 1 (Θ
+    plus one proper focal) and weight 1 (no Θ), and the vacuous mass.
+    Support weights reach down into the subnormals, so products underflow.
+    """
+    general = st.dictionaries(
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=1, max_value=1000),
+        min_size=1,
+        max_size=15,
+    ).map(
+        lambda weights: MassFunction(
+            FLRB,
+            {
+                FLRB.subset_from_mask(mask): w / sum(weights.values())
+                for mask, w in weights.items()
+            },
+        )
+    )
+    weight = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.just(1.0)
+    support = st.builds(
+        lambda mask, w: MassFunction.simple_support(FLRB.subset_from_mask(mask), w),
+        st.integers(min_value=1, max_value=14),
+        weight,
+    )
+    return st.one_of(general, support, st.just(MassFunction.vacuous(FLRB)))
+
+
+def reference_fuse_all(sources):
+    """fuse_all's results and conflicts, folded with the plain double loop."""
+    results = [sources[0]]
+    ks = []
+    for step_no, source in enumerate(sources[1:], start=1):
+        products, k = reference_cross(results[-1], source)
+        results.append(_normalize(FLRB, products, k, step=step_no))
+        ks.append(k)
+    return tuple(results), tuple(ks)
+
+
+@given(m1=kernel_operands(), m2=kernel_operands())
+def test_cross_matches_reference_bit_for_bit(m1, m2):
+    products, k = _cross(m1, m2)
+    expected, expected_k = reference_cross(m1, m2)
+    assert products == expected
+    assert k == expected_k
+
+
+@given(
+    first=kernel_operands(),
+    rest=st.lists(kernel_operands(), min_size=1, max_size=6),
+)
+def test_fuse_all_matches_reference_fold_bit_for_bit(first, rest):
+    sources = [first, *rest]
+    try:
+        expected = reference_fuse_all(sources)
+    except TotalConflictError as exc:
+        with pytest.raises(TotalConflictError) as direct:
+            fuse_all(sources)
+        assert (direct.value.step, direct.value.conflict) == (exc.step, exc.conflict)
+        return
+    report = fuse_all(sources)
+    assert [m.mask_items() for m in report.results] == [
+        m.mask_items() for m in expected[0]
+    ]
+    assert report.per_step_conflict == expected[1]
