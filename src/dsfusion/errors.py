@@ -94,11 +94,11 @@ class TotalConflictError(FusionError):
 
 
 class ExplosionGuardError(FusionError):
-    """A fold or enumeration would exceed its size cap.
+    """A fold step would exceed its size cap.
 
-    ``fuse_all`` (and so ``fold``, ``predict`` and ``sweep``) raises it for a
-    step that would cross more than ``FOLD_CELL_CAP`` focal pairs, and
-    ``oracle_fuse_all`` for more than ``ORACLE_TUPLE_CAP`` focal tuples.
+    ``fuse_all`` (and so ``fold``, ``predict`` and ``sweep``) and
+    ``oracle_fuse_all`` raise it for a step that would cross more than
+    ``FOLD_CELL_CAP`` focal pairs.
     """
 
 

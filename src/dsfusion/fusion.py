@@ -22,11 +22,10 @@ for bit by construction:
   a :class:`CombinationTrace`, which enumerates its cells (a hand-worked
   combination table) from its two inputs only when read, in the same pair
   order and with the same products m1(B) * m2(C) the loop sums;
-* :func:`oracle_fuse_all` is an independent brute-force check: it enumerates
-  the full n-way product of focal tuples in exact rational arithmetic and
-  normalizes once at the end.  Agreement of the sequential fold with this
-  single-normalization enumeration is the associativity of the rule, kept as
-  a test, not an assumption.
+* :func:`oracle_fuse_all` is an independent exact check with its own loop:
+  it folds un-normalized integer products source by source and normalizes
+  once at the end.  The tests hold it equal to an n-way enumeration of focal
+  tuples, which keeps the rule's associativity a test, not an assumption.
 
 The loop takes the right operand's ignorance column m2(Θ) apart: B n Θ = B,
 so that pair is added onto B without an intersection, still last in its
@@ -37,7 +36,6 @@ summed in stay those of the plain double loop, so the sums are unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -51,7 +49,6 @@ from .frame import Frame, Subset
 from .mass import MassFunction
 
 CONFLICT_EPSILON = 1e-9
-ORACLE_TUPLE_CAP = 10_000_000
 # Focal pairs one step of fuse_all may cross.  A fold of simple supports can
 # double its focal count at every step, so a few dozen sources could need
 # minutes and gigabytes; the cap refuses such a fold in well under a second.
@@ -253,40 +250,40 @@ def fold(sources: Sequence[MassFunction]) -> MassFunction:
 
 
 def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
-    """Brute-force n-way combination in exact rational arithmetic.
+    """The same fusion in exact rational arithmetic, normalized once.
 
-    Enumerates every tuple of focal elements (one per source), accumulates
-    the product of their masses onto the tuple's intersection, discards
-    empty-intersection weight, and normalizes once at the end.  Mass values
-    are read through their shortest decimal representation, so ordinary
-    decimal inputs are handled exactly.
+    Each source's masses are read through their shortest decimal
+    representation, so ordinary decimal inputs are exact, and scaled to
+    integer numerators over that source's common denominator.  The
+    un-normalized products are folded source by source onto non-empty
+    intersections (Dempster's rule distributes over the sum), and divided by
+    their total only at the end.  A step over ``FOLD_CELL_CAP`` focal pairs
+    raises :class:`ExplosionGuardError`, as in :func:`fuse_all`.
     """
     # Imported here so that CLI start-up does not pay for it.
     from fractions import Fraction
 
     frame = _common_frame(sources)
-    tuple_count = math.prod(len(m) for m in sources)
-    if tuple_count > ORACLE_TUPLE_CAP:
-        raise ExplosionGuardError(
-            f"{tuple_count} focal tuples exceed the cap of {ORACLE_TUPLE_CAP}"
-        )
-    rational = [
-        [(mask, Fraction(repr(mass))) for mask, mass in m.mask_items()]
-        for m in sources
-    ]
-    full_mask = frame._full_mask
-    acc: dict[int, Fraction] = {}
-    for combo in itertools.product(*rational):
-        inter = full_mask
-        weight = Fraction(1)
-        for mask, mass in combo:
-            inter &= mask
-            weight *= mass
-        if inter != 0:
-            acc[inter] = acc.get(inter, Fraction(0)) + weight
+    acc = {frame._full_mask: 1}
+    for step_no, source in enumerate(sources):
+        exact = [(mask, Fraction(repr(mass))) for mask, mass in source.mask_items()]
+        scale = math.lcm(*(q.denominator for _, q in exact))
+        right = [(mask, q.numerator * (scale // q.denominator)) for mask, q in exact]
+        cells = len(acc) * len(right)
+        if cells > FOLD_CELL_CAP:
+            raise ExplosionGuardError(
+                f"step {step_no} would cross {cells} focal pairs, "
+                f"over the cap of {FOLD_CELL_CAP}"
+            )
+        crossed: dict[int, int] = {}
+        for b, nb in acc.items():
+            for c, nc in right:
+                if inter := b & c:
+                    crossed[inter] = crossed.get(inter, 0) + nb * nc
+        acc = crossed
     total = sum(acc.values())
     if total == 0:
         raise TotalConflictError(1.0)
     return MassFunction._from_mask_dict(
-        frame, {mask: float(acc[mask] / total) for mask in sorted(acc)}
+        frame, {mask: float(Fraction(acc[mask], total)) for mask in sorted(acc)}
     )

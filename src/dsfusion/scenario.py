@@ -65,6 +65,10 @@ class Scenario:
                 raise ValidationError(
                     f"label or name {name!r} must be a string without lone surrogates"
                 )
+        # Output keys join a subset's labels with "+", so a "+" would collide.
+        for label in frame.labels:
+            if "+" in label:
+                raise ValidationError(f"label {label!r} must not contain '+'")
         names = set()
         for motion in motions:
             frame.check_same(motion.direction.frame)

@@ -7,10 +7,12 @@ enough that sums land within normalization tolerance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
-from dsfusion import Frame, MassFunction, Motion, Scenario
+from dsfusion import Frame, MassFunction, Motion, Scenario, TotalConflictError
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 4) -> MassFunction:
@@ -82,6 +84,38 @@ def reference_cross(
             else:
                 k += p
     return acc, k
+
+
+def reference_oracle(sources: list[MassFunction]) -> MassFunction:
+    """The n-way enumeration oracle_fuse_all must equal exactly.
+
+    Enumerates every tuple of focal elements (one per source), accumulates
+    the product of their masses onto the tuple's intersection, discards
+    empty-intersection weight, and normalizes once at the end, in exact
+    rational arithmetic.  Exponential in the number of sources: small inputs
+    only.
+    """
+    frame = sources[0].frame
+    rational = [
+        [(mask, Fraction(repr(mass))) for mask, mass in m.mask_items()]
+        for m in sources
+    ]
+    full_mask = frame.full.mask
+    acc: dict[int, Fraction] = {}
+    for combo in itertools.product(*rational):
+        inter = full_mask
+        weight = Fraction(1)
+        for mask, mass in combo:
+            inter &= mask
+            weight *= mass
+        if inter != 0:
+            acc[inter] = acc.get(inter, Fraction(0)) + weight
+    total = sum(acc.values())
+    if total == 0:
+        raise TotalConflictError(1.0)
+    return MassFunction._from_mask_dict(
+        frame, {mask: float(acc[mask] / total) for mask in sorted(acc)}
+    )
 
 
 def doubling_document() -> str:

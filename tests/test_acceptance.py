@@ -3,9 +3,9 @@
 Every criterion prints "[acceptance] criterion N (...): PASS|FAIL" even under
 pytest's capture, so a plain ``pytest tests/test_acceptance.py`` shows the
 scoreboard.  Tolerances are pinned here and must not be loosened; the golden
-numbers come from an exact-rational enumeration oracle that was computed and
-frozen before the implementation existed (oracle_fuse_all re-derives them
-live in criterion 4).
+numbers come from exact rational arithmetic, computed and frozen before the
+implementation existed (oracle_fuse_all, an exact fold normalized once,
+re-derives them live in criterion 4).
 """
 
 import random

@@ -312,6 +312,27 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "lone surrogate" in err
 
+    def test_plus_in_label(self, capsys, tmp_path):
+        # "a+b" would be the JSON key of both {a+b} and {a, b}
+        path = tmp_path / "plus.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "frame": ["a", "b", "a+b"],
+                    "sources": [
+                        {"name": "s1", "focal": ["a", "b"], "bpa": [0.6]},
+                        {"name": "s2", "focal": ["a+b"], "bpa": [0.3]},
+                        {"name": "s3", "focal": ["a", "b"], "bpa": [0.2]},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "sweep", "--scenario", str(path), "--format", "json"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "'a+b' must not contain '+'" in err
+
     def test_invalid_weights_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -24,7 +24,12 @@ from dsfusion import (
 )
 
 from dsfusion.fusion import _cross, _normalize
-from helpers import doubling_document, random_mass, reference_cross
+from helpers import (
+    doubling_document,
+    random_mass,
+    reference_cross,
+    reference_oracle,
+)
 
 FLRB = Frame(["F", "L", "R", "B"])
 
@@ -398,13 +403,38 @@ class TestOracle:
             assert oracle_fuse_all(shuffled) == oracle_fuse_all(sources)
             assert fold(shuffled).isclose(fold(sources), tolerance=1e-9)
 
-    def test_explosion_guard(self, flrb):
-        # 8 sources with 8 focals each: 8^8 > 10^7 tuples
-        wide = MassFunction(
-            flrb, {flrb.subset_from_mask(mask): 0.125 for mask in range(1, 9)}
-        )
-        with pytest.raises(ExplosionGuardError):
-            oracle_fuse_all([wide] * 8)
+    def test_explosion_guard(self):
+        # the oracle folds step by step under fuse_all's cap: same step, same pairs
+        sources = evidence_for(parse_scenario(doubling_document()), 1)
+        with pytest.raises(ExplosionGuardError, match="step 18 .* 524288 focal pairs"):
+            oracle_fuse_all(sources)
+
+    def test_judges_a_doubling_fold(self):
+        # 2**17 final focals; the last step crosses 2**17 pairs, half the cap
+        # (test_explosion_guard runs the oracle through the step at the cap)
+        sources = evidence_for(parse_scenario(doubling_document()), 1)[:17]
+        final = fold(sources)
+        assert len(final) == 2**17
+        assert final.isclose(oracle_fuse_all(sources), tolerance=1e-9)
+
+    def test_judges_wide_folds(self):
+        # folds as long as the benchmark's wide_fold problems: 20-30 simple
+        # supports on 8-16 labels
+        rng = random.Random(59)
+        widths = []
+        for _ in range(24):
+            frame = Frame([f"h{i}" for i in range(rng.randint(8, 16))])
+            pool = [rng.randrange(1, (1 << len(frame)) - 1) for _ in range(12)]
+            sources = [
+                MassFunction.simple_support(
+                    frame.subset_from_mask(rng.choice(pool)), rng.randint(1, 999) / 1000
+                )
+                for _ in range(rng.randint(20, 30))
+            ]
+            final = fold(sources)
+            assert final.isclose(oracle_fuse_all(sources), tolerance=1e-9)
+            widths.append(len(final))
+        assert max(widths) >= 100
 
     def test_total_conflict(self, flrb):
         with pytest.raises(TotalConflictError):
@@ -461,6 +491,47 @@ def test_associativity_and_oracle_agreement(a, b, c):
     oracle = oracle_fuse_all([a, b, c])
     assert left.isclose(oracle, tolerance=1e-9)
     assert right.isclose(oracle, tolerance=1e-9)
+
+
+def oracle_operands():
+    """Strategy: small mixed sources for the n-way enumeration.
+
+    General masses of up to four focals with and without Θ, simple supports
+    with weight k/1000 and weight 1, and the vacuous mass.
+    """
+    general = st.dictionaries(
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=1, max_value=1000),
+        min_size=1,
+        max_size=4,
+    ).map(
+        lambda weights: MassFunction(
+            FLRB,
+            {
+                FLRB.subset_from_mask(mask): w / sum(weights.values())
+                for mask, w in weights.items()
+            },
+        )
+    )
+    support = st.builds(
+        lambda mask, w: MassFunction.simple_support(
+            FLRB.subset_from_mask(mask), w / 1000
+        ),
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=1, max_value=1000),
+    )
+    return st.one_of(general, support, st.just(MassFunction.vacuous(FLRB)))
+
+
+@given(sources=st.lists(oracle_operands(), min_size=1, max_size=5))
+def test_oracle_equals_reference_enumeration(sources):
+    try:
+        expected = reference_oracle(sources)
+    except TotalConflictError:
+        with pytest.raises(TotalConflictError):
+            oracle_fuse_all(sources)
+        return
+    assert oracle_fuse_all(sources) == expected
 
 
 def kernel_operands():
