@@ -97,8 +97,8 @@ class ExplosionGuardError(FusionError):
     """A fold step would exceed its size cap.
 
     ``fuse_all`` (and so ``fold``, ``predict`` and ``sweep``) and
-    ``oracle_fuse_all`` raise it for a step that would cross more than
-    ``FOLD_CELL_CAP`` focal pairs.
+    ``oracle_fuse_all`` raise it for a step over ``FOLD_CELL_CAP`` focal
+    pairs.
     """
 
 

@@ -27,11 +27,8 @@ for bit by construction:
   once at the end.  The tests hold it equal to an n-way enumeration of focal
   tuples, which keeps the rule's associativity a test, not an assumption.
 
-The loop takes the right operand's ignorance column m2(Θ) apart: B n Θ = B,
-so that pair is added onto B without an intersection, still last in its
-row, and a right operand with a single proper focal beside Θ (a simple
-support) is crossed without an inner loop.  The pairs and the order they are
-summed in stay those of the plain double loop, so the sums are unchanged.
+The loop crosses a simple support without an inner loop, and its sums stay
+bit for bit those of the plain left-major double loop.
 """
 
 from __future__ import annotations
@@ -130,23 +127,20 @@ def _common_frame(sources: Sequence[MassFunction]) -> Frame:
 def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
     """The un-normalized cross product of two mass functions.
 
-    Returns the m1(B)*m2(C) sums by non-empty intersection mask and the conflict k.
-    Pairs are summed left-major: left focal B ascending, then right focal C
-    ascending.  When Θ is a right focal it is the last column, and B n Θ = B,
-    so each row adds m1(B)*m2(Θ) onto B after its proper focals with no
-    intersection or branch.  A right operand with one proper focal besides Θ
-    (every simple support with weight < 1) needs no inner loop at all.  Either
-    way each key receives the same products in the same order as the plain
-    double loop, so the sums are bit for bit the same.
+    Returns the m1(B)*m2(C) sums by non-empty intersection mask and the conflict
+    k, summed left-major: left focal B ascending, then right focal C ascending.
+    A simple support with weight < 1 (one proper focal C, then Θ) needs no
+    inner loop: each row intersects B with C, then adds m1(B)*m2(Θ) onto B,
+    since B n Θ = B.  Those are the row's two pairs in the double loop's
+    order, so every sum is bit for bit the same.
     """
     m1.frame.check_same(m2.frame)
     acc: dict[int, float] = {}
     get = acc.get
     k = 0.0
     right = m2.mask_items()
-    m_full = right.pop()[1] if right[-1][0] == m2.frame._full_mask else None
-    if m_full is not None and len(right) == 1:
-        ((c, mc),) = right
+    if len(right) == 2 and right[1][0] == m2.frame._full_mask:
+        (c, mc), (_, m_full) = right
         for b, mb in m1.mask_items():
             inter = b & c
             p = mb * mc
@@ -164,8 +158,6 @@ def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]
                 acc[inter] = get(inter, 0.0) + p
             else:
                 k += p
-        if m_full is not None:
-            acc[b] = get(b, 0.0) + mb * m_full
     return acc, k
 
 
@@ -217,13 +209,20 @@ def combine_traced(m1: MassFunction, m2: MassFunction) -> CombinationTrace:
     return CombinationTrace((m1, m2), k, _normalize(m1.frame, products, k, step=None))
 
 
+def _over_cap(step_no: int, cells: int) -> ExplosionGuardError:
+    return ExplosionGuardError(
+        f"step {step_no} would cross {cells} focal pairs, "
+        f"over the cap of {FOLD_CELL_CAP}"
+    )
+
+
 def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     """Fold sources left to right, recording each step's result and conflict.
 
     Step i combines the accumulated result with source i+1 and renormalizes,
     exactly like working through the combination tables one by one.  A step
-    that would cross more than ``FOLD_CELL_CAP`` focal pairs raises
-    :class:`ExplosionGuardError` before it starts.
+    over ``FOLD_CELL_CAP`` focal pairs raises :class:`ExplosionGuardError`
+    before it starts.
     """
     frame = _common_frame(sources)
     sources = tuple(sources)
@@ -233,10 +232,7 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     for step_no, source in enumerate(sources[1:], start=1):
         cells = len(acc) * len(source)
         if cells > FOLD_CELL_CAP:
-            raise ExplosionGuardError(
-                f"step {step_no} would cross {cells} focal pairs, "
-                f"over the cap of {FOLD_CELL_CAP}"
-            )
+            raise _over_cap(step_no, cells)
         products, k = _cross(acc, source)
         acc = _normalize(frame, products, k, step=step_no)
         results.append(acc)
@@ -271,10 +267,7 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
         right = [(mask, q.numerator * (scale // q.denominator)) for mask, q in exact]
         cells = len(acc) * len(right)
         if cells > FOLD_CELL_CAP:
-            raise ExplosionGuardError(
-                f"step {step_no} would cross {cells} focal pairs, "
-                f"over the cap of {FOLD_CELL_CAP}"
-            )
+            raise _over_cap(step_no, cells)
         crossed: dict[int, int] = {}
         for b, nb in acc.items():
             for c, nc in right:

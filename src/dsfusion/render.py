@@ -24,7 +24,7 @@ _DIRECTION_WORDS = {"F": "front", "L": "left", "R": "right", "B": "back"}
 def format_mass(value: float, digits: int) -> str:
     """Fixed-point decimal with half-up rounding."""
     quantum = Decimal(1).scaleb(-digits)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return format(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
 
 
 def format_full(value: float) -> str:

@@ -77,8 +77,15 @@ class Scenario:
             names.add(motion.name)
         # simple_support owns the rules: a proper non-empty focal, a weight in (0, 1].
         evidence = []
-        for c, row in enumerate(bpa, start=1):
-            row = tuple(row)
+        try:
+            rows = tuple(bpa)
+        except TypeError as exc:
+            raise ValidationError(f"bpa {bpa!r} is not a sequence of rows") from exc
+        for c, row in enumerate(rows, start=1):
+            try:
+                row = tuple(row)
+            except TypeError as exc:
+                raise ValidationError(f"condition {c} is {row!r}, not a row") from exc
             if len(row) != len(motions):
                 raise ValidationError(
                     f"condition {c} has {len(row)} weights for {len(motions)} motions"

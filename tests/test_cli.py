@@ -4,14 +4,19 @@ import hashlib
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dsfusion import __version__, builtin_takraw_scenario, cli, parse_scenario
 from dsfusion.cli import main
+from dsfusion.render import format_mass
 
 from helpers import doubling_document
 
@@ -63,6 +68,18 @@ class TestFuseTable:
         assert "k = 0.44" in step4
         assert out.count("step ") == 9
 
+    def test_conflict_line_at_precision_12(self, capsys):
+        # values below 1e-6 print in fixed point, not as 0E-12
+        _, out, _ = run(
+            capsys, "fuse", "--builtin", "takraw", "--condition", "1",
+            "--precision", "12",
+        )
+        assert (
+            "conflict per step: 0.000000000000 0.000000000000 0.000000000000 "
+            "0.444304687500 0.439751015760 0.431706376043 0.417809556212 "
+            "0.570133852781 0.464206939216\n"
+        ) in out
+
     def test_no_trace_by_default(self, capsys):
         _, out, _ = run(capsys, "fuse", "--builtin", "takraw", "--condition", "1")
         assert "step 1:" not in out
@@ -91,6 +108,22 @@ class TestFuseTable:
         assert out.splitlines()[-1] == (
             "winner: x  mass 0.7000  belief 0.7000  plausibility 1.0000"
         )
+
+
+@given(
+    value=st.floats(min_value=0.0, max_value=1.0),
+    digits=st.integers(min_value=1, max_value=12),
+)
+@example(value=5e-324, digits=12)
+@example(value=3e-8, digits=8)
+@example(value=1.2345e-7, digits=12)
+def test_format_mass_is_fixed_point_half_up(value, digits):
+    out = format_mass(value, digits)
+    assert re.fullmatch(rf"\d\.\d{{{digits}}}", out)
+    quantum = Decimal(1).scaleb(-digits)
+    assert Decimal(out) == Decimal(repr(value)).quantize(
+        quantum, rounding=ROUND_HALF_UP
+    )
 
 
 MINIMAL_TWO_LABEL = json.dumps(
@@ -644,3 +677,37 @@ class TestDeterminism:
         assert out.stdout.splitlines()[0] == (
             "condition,winner,winner_mass,winner_belief,winner_plausibility"
         )
+
+
+def readme_transcripts():
+    """README code blocks that run a dsfusion command and show its output.
+
+    Maps each block's command line to the lines shown after it.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    transcripts = {}
+    for block in re.findall(r"^```\n(.*?)^```$", text, re.M | re.S):
+        command, *shown = block.splitlines()
+        # the export-builtin block shows a second command, not output
+        if command.startswith("$ dsfusion ") and "\n$" not in block:
+            transcripts[command] = shown
+    return transcripts
+
+
+class TestReadmeTranscripts:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "$ dsfusion fuse --builtin takraw --condition 1",
+            "$ dsfusion fuse --builtin takraw --condition 1 --trace --precision 2",
+            "$ dsfusion sweep --builtin takraw",
+        ],
+    )
+    def test_shown_lines_appear_in_order(self, capsys, command):
+        shown = readme_transcripts()[command]
+        code, out, err = run(capsys, *shlex.split(command)[2:])
+        assert (code, err) == (0, "")
+        lines = iter(out.splitlines())
+        for line in shown:
+            if line != "...":
+                assert line in lines, line

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dsfusion import (
     CombinationTrace,
@@ -406,8 +406,13 @@ class TestOracle:
     def test_explosion_guard(self):
         # the oracle folds step by step under fuse_all's cap: same step, same pairs
         sources = evidence_for(parse_scenario(doubling_document()), 1)
-        with pytest.raises(ExplosionGuardError, match="step 18 .* 524288 focal pairs"):
+        with pytest.raises(
+            ExplosionGuardError, match="step 18 .* 524288 focal pairs"
+        ) as oracle_refusal:
             oracle_fuse_all(sources)
+        with pytest.raises(ExplosionGuardError) as fold_refusal:
+            fuse_all(sources)
+        assert str(oracle_refusal.value) == str(fold_refusal.value)
 
     def test_judges_a_doubling_fold(self):
         # 2**17 final focals; the last step crosses 2**17 pairs, half the cap
@@ -535,11 +540,13 @@ def test_oracle_equals_reference_enumeration(sources):
 
 
 def kernel_operands():
-    """Strategy: every operand shape the fold kernel distinguishes.
+    """Strategy: both operand shapes the fold kernel tells apart.
 
-    General masses with and without Θ, simple supports with weight < 1 (Θ
-    plus one proper focal) and weight 1 (no Θ), and the vacuous mass.
-    Support weights reach down into the subnormals, so products underflow.
+    Simple supports with weight < 1 (one proper focal, then Θ), which the
+    kernel crosses without an inner loop, and everything that goes through
+    its plain double loop: general masses with and without Θ, simple
+    supports with weight 1 (no Θ), and the vacuous mass.  Support weights
+    reach down into the subnormals, so products underflow.
     """
     general = st.dictionaries(
         st.integers(min_value=1, max_value=15),
@@ -575,7 +582,29 @@ def reference_fuse_all(sources):
     return tuple(results), tuple(ks)
 
 
+# a right operand with Θ and two proper focals takes the plain double loop
+THETA_AND_TWO_FOCALS = MassFunction(
+    FLRB, {FLRB.subset(["F"]): 0.5, FLRB.subset(["L", "B"]): 0.3, FLRB.full: 0.2}
+)
+
+
 @given(m1=kernel_operands(), m2=kernel_operands())
+@example(
+    m1=MassFunction(
+        FLRB,
+        {
+            FLRB.subset(["F", "L"]): 0.25,
+            FLRB.subset(["B"]): 0.25,
+            FLRB.subset(["R", "B"]): 0.375,
+            FLRB.full: 0.125,
+        },
+    ),
+    m2=THETA_AND_TWO_FOCALS,
+)
+@example(
+    m1=MassFunction.simple_support(FLRB.subset(["F", "R"]), 0.6),
+    m2=THETA_AND_TWO_FOCALS,
+)
 def test_cross_matches_reference_bit_for_bit(m1, m2):
     products, k = _cross(m1, m2)
     expected, expected_k = reference_cross(m1, m2)

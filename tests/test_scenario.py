@@ -89,6 +89,15 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             self.make(bpa=[(0.5, 0.5)])
 
+    def test_weight_row_not_iterable(self):
+        with pytest.raises(ValidationError, match="condition 1"):
+            self.make(bpa=[0.5])
+
+    def test_bpa_not_iterable(self):
+        frame = Frame(["F", "B"])
+        with pytest.raises(ValidationError, match="bpa"):
+            Scenario(frame, [Motion("m1", frame.subset(["F"]))], None)
+
     @pytest.mark.parametrize(
         "weight",
         [
