@@ -521,6 +521,39 @@ GOLDEN_HELP = [
 ]
 
 
+ONE_SOURCE_DOC = json.dumps(
+    {"frame": ["a", "b"], "sources": [{"name": "only", "focal": ["a"], "bpa": [0.25]}]}
+)
+
+# Labels and names holding every character class the JSON writer escapes or
+# passes through: quote, backslash, newline, tab, DEL, U+2028, é, non-BMP.
+ESCAPES_LABELS = ['q"t', "b\\s", "n\nl\tt", "d\x7fé", "u \U0001F600"]
+ESCAPES_DOC = json.dumps(
+    {
+        "frame": ESCAPES_LABELS,
+        "sources": [
+            {"name": 'quote "name"', "focal": ESCAPES_LABELS[:2], "bpa": [0.6, 0.3]},
+            {"name": "back\\slash\ttab", "focal": ESCAPES_LABELS[1:3], "bpa": [0.5, 0.45]},
+            {"name": "new\nline\x7f", "focal": ESCAPES_LABELS[3:], "bpa": [0.2, 0.9]},
+            {"name": "é   \U0001F600", "focal": ESCAPES_LABELS[1:4], "bpa": [0.7, 1]},
+        ],
+    }
+)
+
+# (id, document, argv before --scenario, exit code, stderr, sha256 of stdout)
+GOLDEN_DOCUMENTS = [
+    ("sweep-json-conflict", CONFLICT_DOC, "sweep --format json", 3,
+     "condition 2: total conflict at step 1 (k = 1.0)\n",
+     "b5502145fff1a349ac06c373378a49309e46d465e48e2ca72461d0ec165cdeef"),
+    ("fuse-json-one-source", ONE_SOURCE_DOC, "fuse --condition 1 --format json", 0, "",
+     "6402ec21c276ff209540fe627d8267466c96a5068a4d137dc31f370c41328477"),
+    ("sweep-json-escapes", ESCAPES_DOC, "sweep --format json", 0, "",
+     "65273ad16060860f5e20f4b7892c3ca96e9003bfbfb2c3df2b6e89704a45154e"),
+    ("sweep-table-escapes", ESCAPES_DOC, "sweep --format table", 0, "",
+     "55115ed9e026583c3de847024aff2341ea698c36915861c0f1cd925228a83317"),
+]
+
+
 class TestOutputLimits:
     def test_exploding_fold_exits_2(self, capsys, tmp_path):
         path = tmp_path / "doubling.json"
@@ -567,6 +600,26 @@ class TestGoldenOutput:
         assert (code, err) == (3, "condition 2: total conflict at step 1 (k = 1.0)\n")
         assert sha256(out) == (
             "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"
+        )
+
+    @pytest.mark.parametrize(
+        "document, argv, code, err, digest",
+        [pytest.param(*case[1:], id=case[0]) for case in GOLDEN_DOCUMENTS],
+    )
+    def test_document_bytes(
+        self, capsys, tmp_path, monkeypatch, document, argv, code, err, digest
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.json").write_text(document, encoding="utf-8")
+        got_code, out, got_err = run(capsys, *argv.split(), "--scenario", "doc.json")
+        assert (got_code, got_err) == (code, err)
+        assert sha256(out) == digest
+
+    def test_export_builtin_bytes(self, capsys, tmp_path):
+        path = tmp_path / "takraw.json"
+        assert run(capsys, "export-builtin", "takraw", "--out", str(path)) == (0, "", "")
+        assert sha256(path.read_text(encoding="utf-8")) == (
+            "c31f5586f62eca8606bfc68ce059eac18eed19d479583bfdbcffe1a446fa42bd"
         )
 
     @pytest.mark.parametrize("command, digest", GOLDEN_HELP, ids=[c for c, _ in GOLDEN_HELP])
