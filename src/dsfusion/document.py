@@ -22,7 +22,9 @@ labels, duplicate names) raise :class:`ValidationError`.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
 from .scenario import Scenario, _encodable, _from_sources
@@ -102,16 +104,36 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(str(exc)) from exc
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """Exactly what the json module's encoder writes with ``indent=2`` and
+    ``ensure_ascii=False`` (with an indent it never uses its C encoder), for str,
+    int, finite float, list, tuple and str-keyed dict; else a TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict:
+        ends, pairs = "{}", value.items()
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in pairs]
+    elif kind is list or kind is tuple:
+        ends, items = "[]", [_json_text(item, inner) for item in value]
+    else:
+        raise TypeError(f"{value!r} is not written as JSON")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario; ``parse_scenario`` round-trips it exactly."""
     document = {
-        "frame": list(scenario.frame.labels),
+        "frame": scenario.frame.labels,
         "sources": [
-            {"name": motion.name, "focal": list(motion.direction.labels), "bpa": row}
+            {"name": motion.name, "focal": motion.direction.labels, "bpa": row}
             for motion, row in zip(scenario.motions, zip(*scenario.bpa))
         ],
     }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(document) + "\n"
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -105,6 +105,11 @@ class Frame:
         for mask in range(self._full_mask + 1):
             yield Subset(self, mask)
 
+    def _labels_of(self, mask: int) -> list[str]:
+        """Labels whose bits are set in ``mask``, in frame order, as a list: a tuple
+        built from a generator is resized and strands blocks on CPython's free lists."""
+        return [label for i, label in enumerate(self._labels) if mask >> i & 1]
+
     def check_same(self, other: Frame) -> None:
         """Raise :class:`FrameMismatchError` unless ``other`` is this frame."""
         if self._token != other._token:
@@ -137,13 +142,7 @@ class Subset:
     @property
     def labels(self) -> tuple[str, ...]:
         """Member labels in frame order."""
-        # A list, not a generator: tuple(genexpr) allocates a 10-slot tuple and
-        # resizes it, which moves one tuple per call from CPython's size-10
-        # free list to the list for its final size.  Those lists are emptied
-        # only by a full GC pass, so in a long-lived process they pile up.
-        return tuple([
-            label for i, label in enumerate(self._frame.labels) if self._mask >> i & 1
-        ])
+        return tuple(self._frame._labels_of(self._mask))
 
     @property
     def is_empty(self) -> bool:

@@ -81,11 +81,11 @@ class CombinationTrace(NamedTuple):
         left.frame.check_same(right.frame)
         subset = left.frame.subset_from_mask
         right_items = right.mask_items()
-        return tuple(
+        return tuple([
             CombinationCell(subset(b), subset(c), subset(b & c), mb * mc)
             for b, mb in left.mask_items()
             for c, mc in right_items
-        )
+        ])
 
 
 class FusionReport(NamedTuple):
@@ -107,12 +107,12 @@ class FusionReport(NamedTuple):
     @property
     def steps(self) -> tuple[CombinationTrace, ...]:
         """One trace per additional source, rebuilt from the recorded fold."""
-        return tuple(
+        return tuple([
             CombinationTrace((prefix, source), k, result)
             for prefix, source, k, result in zip(
                 self.results, self.sources[1:], self.per_step_conflict, self.results[1:]
             )
-        )
+        ])
 
 
 def _common_frame(sources: Sequence[MassFunction]) -> Frame:

@@ -32,6 +32,8 @@ Entries = Mapping[Subset, float] | Iterable[tuple[Subset, float]]
 def _as_float(value: object, error: type[EvidenceError], what: str) -> float:
     """A weight or mass as a float, else ``error``: text, bools, non-numbers
     and ints beyond the float range are refused."""
+    if type(value) is float:
+        return value
     if not isinstance(value, (bool, str, bytes, bytearray, memoryview)):
         try:
             return float(value)
@@ -93,22 +95,24 @@ class MassFunction:
         This is the shape every motion evidence takes: support ``weight`` for
         ``focal`` and residual ignorance ``1 - weight``.
         """
-        if focal.is_empty:
+        frame, mask = focal.frame, focal.mask
+        if not mask:
             raise EmptyFocalError("a simple support needs a non-empty focal set")
-        if focal.is_full:
+        if mask == frame._full_mask:
             raise FocalIsFullFrameError(
                 "a simple support's focal set must be a proper subset of the frame"
             )
         weight = _as_float(weight, WeightOutOfRangeError, "weight")
         if not 0.0 < weight <= 1.0:
             raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
-        frame = focal.frame
-        if weight == 1.0:
-            return cls._from_mask_dict(frame, {focal.mask: 1.0})
-        # A proper focal's mask is below the full mask, so the keys are sorted.
-        return cls._from_mask_dict(
-            frame, {focal.mask: weight, frame._full_mask: 1.0 - weight}
-        )
+        rest = 1.0 - weight
+        if abs(weight + rest - 1.0) > SUM_TOLERANCE:
+            raise NotNormalizedError(f"masses sum to {weight + rest!r}, not 1")
+        m = object.__new__(cls)
+        m._frame, m._masses = frame, {mask: weight}
+        if rest:  # a proper focal's mask is below the full mask: keys stay sorted
+            m._masses[frame._full_mask] = rest
+        return m
 
     @property
     def frame(self) -> Frame:

@@ -9,10 +9,10 @@ full precision.
 
 from __future__ import annotations
 
-import json
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
+from .document import _json_text
 from .frame import Subset
 from .fusion import CombinationTrace, FusionReport
 from .mass import MassFunction
@@ -48,7 +48,7 @@ def winner_label(subset: Subset) -> str:
 
 def mass_map(m: MassFunction) -> dict[str, float]:
     """Focal elements as an ordered {set-key: mass} mapping."""
-    return {set_key(subset): value for subset, value in m.focal_elements()}
+    return {"+".join(m._frame._labels_of(mask)): v for mask, v in m.mask_items()}
 
 
 class RunReport(NamedTuple):
@@ -137,7 +137,7 @@ def fuse_text(run: RunReport, precision: int, show_trace: bool) -> str:
 
 def _winner_json(p: Prediction) -> dict:
     return {
-        "labels": list(p.winner.labels),
+        "labels": p.winner.labels,
         "mass": p.winner_mass,
         "belief": p.winner_belief,
         "plausibility": p.winner_plausibility,
@@ -151,9 +151,9 @@ def fuse_json(run: RunReport) -> str:
             "k": trace.conflict,
             "cells": [
                 {
-                    "left": list(cell.left.labels),
-                    "right": list(cell.right.labels),
-                    "intersection": list(cell.intersection.labels),
+                    "left": cell.left.labels,
+                    "right": cell.right.labels,
+                    "intersection": cell.intersection.labels,
                     "product": cell.product,
                 }
                 for cell in trace.cells
@@ -168,7 +168,7 @@ def fuse_json(run: RunReport) -> str:
         "final": mass_map(run.report.final),
         "winner": _winner_json(run.prediction),
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(payload) + "\n"
 
 
 _CSV_HEADER = ["condition", "winner", "winner_mass", "winner_belief", "winner_plausibility"]
@@ -243,4 +243,4 @@ def sweep_json(results: list[Prediction | SweepFailure]) -> str:
             )
         else:
             entries.append({"condition": r.condition, "error": str(r.error)})
-    return json.dumps(entries, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(entries) + "\n"

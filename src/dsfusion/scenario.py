@@ -106,7 +106,7 @@ class Scenario:
         self._evidence = tuple(evidence)
         # A simple support's mass on its focal is the converted weight exactly.
         self._bpa = tuple([
-            tuple([m.mass(motion.direction) for motion, m in zip(motions, row)])
+            tuple([m._masses[motion.direction.mask] for motion, m in zip(motions, row)])
             for row in evidence
         ])
 
@@ -202,7 +202,7 @@ def _from_sources(labels: Sequence[str], sources: Sequence[tuple]) -> Scenario:
     condition and all of one length, transpose to per-condition rows."""
     frame = Frame(labels)
     motions = [Motion(name, frame.subset(focal)) for name, focal, _ in sources]
-    return Scenario(frame, motions, list(zip(*(weights for _, _, weights in sources))))
+    return Scenario(frame, motions, list(zip(*[weights for _, _, weights in sources])))
 
 
 def builtin_takraw_scenario() -> Scenario:
@@ -231,9 +231,9 @@ def select_winner(final: MassFunction) -> Subset:
     if not eligible:
         raise ValidationError("no proper focal element to choose a winner from")
     top = max(m for _, m in eligible)
-    # Belief is O(focals), so it is only evaluated for masks tied at the top.
+    # Belief is O(focals), so it is only evaluated when masks tie at the top.
     tied = [final.frame.subset_from_mask(mask) for mask, m in eligible if m == top]
-    return max(tied, key=lambda s: (final.belief(s), -s.mask))
+    return tied[0] if len(tied) == 1 else max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
 def prediction_from_report(report: FusionReport, condition: int) -> Prediction:

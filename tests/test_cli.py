@@ -554,6 +554,31 @@ GOLDEN_DOCUMENTS = [
 ]
 
 
+class TestLongLivedProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --scenario doc.json --format json",
+            "sweep --scenario doc.json",
+            "fuse --scenario doc.json --condition 1 --format json",
+            "fuse --scenario doc.json --condition 1 --trace",
+        ],
+    )
+    def test_repeated_runs_keep_no_more_blocks(self, capsys, tmp_path, monkeypatch, argv):
+        """A tuple built from a generator, by tuple(genexpr) or f(*genexpr),
+        grows by resizing, so freeing it strands a block on CPython's free
+        list for its final size: a process that calls main in a loop would
+        hold more memory after every run, up to the free lists' caps."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.json").write_text(ESCAPES_DOC, encoding="utf-8")
+        for _ in range(20):
+            run(capsys, *argv.split())
+        before = sys.getallocatedblocks()
+        for _ in range(200):
+            run(capsys, *argv.split())
+        assert sys.getallocatedblocks() - before < 100
+
+
 class TestOutputLimits:
     def test_exploding_fold_exits_2(self, capsys, tmp_path):
         path = tmp_path / "doubling.json"

@@ -1,23 +1,40 @@
-"""Scenario document parsing, emission, and round-trip identity."""
+"""Scenario document parsing, emission, round-trip identity, and the JSON
+writer behind every JSON text dsfusion prints."""
 
+import ast
+import contextlib
 import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import dsfusion
 from dsfusion import (
+    Frame,
+    Motion,
     ParseError,
+    Prediction,
+    Scenario,
     SchemaError,
     ValidationError,
     builtin_takraw_scenario,
+    document,
     emit_scenario,
+    fusion_report,
     parse_scenario,
     predict,
+    prediction_from_report,
+    render,
     scenario_digest,
+    sweep,
 )
+from dsfusion.document import _json_text
+from dsfusion.render import RunReport, fuse_json, sweep_json
 
 from helpers import random_scenario
+from test_fuzz import wide_overlap_document
 
 MINIMAL = '{"frame": ["a", "b"], "sources": [{"name": "s", "focal": ["a"], "bpa": [0.5]}]}'
 
@@ -227,3 +244,122 @@ def test_parse_emit_parse_is_identity(text):
     emitted = emit_scenario(once)
     assert parse_scenario(emitted) == once
     assert emit_scenario(parse_scenario(emitted)) == emitted
+
+
+def dumps(value):
+    """The reference the writer must equal character for character."""
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@contextlib.contextmanager
+def written_payloads():
+    """Collects every value handed whole to the JSON writer inside the block."""
+    seen = []
+
+    def recording(value, indent="\n"):
+        if indent == "\n":  # nested values come back in with a deeper indent
+            seen.append(value)
+        return _json_text(value, indent)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(document, "_json_text", recording)
+        patch.setattr(render, "_json_text", recording)
+        yield seen
+
+
+def output_payloads(s):
+    """What emit_scenario, sweep_json and fuse_json (per fused condition) hand
+    to the writer for scenario ``s``."""
+    with written_payloads() as payloads:
+        emit_scenario(s)
+        results = sweep(s)
+        sweep_json(results)
+        for p in results:
+            if isinstance(p, Prediction):
+                report = fusion_report(s, p.condition)
+                prediction = prediction_from_report(report, p.condition)
+                fuse_json(RunReport(s, "s", "", p.condition, report, prediction))
+    assert len(payloads) == 2 + sum(isinstance(p, Prediction) for p in results)
+    return payloads
+
+
+# Two disjoint certain supports: condition 2 ends in total conflict, so the
+# sweep payload holds an error entry.
+_CONFLICT_FRAME = Frame(["a", "b"])
+CONFLICTING = Scenario(
+    _CONFLICT_FRAME,
+    [Motion(name, _CONFLICT_FRAME.subset([name[1]])) for name in ("sa", "sb")],
+    [(0.5, 0.5), (1.0, 1)],
+)
+
+json_scalars = (
+    st.text()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @given(value=json_values)
+    @example(value=[5e-324, 1e-05, 0.1 + 0.2, 1.0, -0.0, 1e16, 1e22, 2**64])
+    @example(value={"": [], "e": {}, "t": (), "n": [[{}]]})
+    @example(value=['"', "\\", "\n", "\t", "\x7f", "\u2028", "é", "\U0001F600", "\x00"])
+    def test_equals_the_json_module(self, value):
+        assert _json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, None, object(), b"x", {1: 0.5}, [0.5, None], {"w": True},
+         float("nan"), float("inf"), -float("inf")],
+        ids=["true", "false", "none", "object", "bytes", "int-key", "nested-none",
+             "nested-bool", "nan", "inf", "-inf"],
+    )
+    def test_refuses_what_it_would_write_differently(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_output_payloads(self, seed):
+        for payload in output_payloads(random_scenario(random.Random(seed))):
+            assert _json_text(payload) == dumps(payload)
+
+    def test_output_payloads_with_a_failed_condition(self):
+        payloads = output_payloads(CONFLICTING)
+        assert payloads[1][1] == {
+            "condition": 2, "error": "total conflict at step 1 (k = 1.0)"
+        }
+        for payload in payloads:
+            assert _json_text(payload) == dumps(payload)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(text=wide_overlap_document())
+    def test_emit_payloads_of_wide_documents(self, text):
+        with written_payloads() as payloads:
+            emit_scenario(parse_scenario(text))
+        (payload,) = payloads
+        assert _json_text(payload) == dumps(payload)
+
+    def test_is_the_only_json_writer(self):
+        src = Path(dsfusion.__file__).parent
+        for path in src.glob("*.py"):
+            assert "json.dumps(" not in path.read_text(encoding="utf-8"), path.name
+        tree = ast.parse((src / "render.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not any(
+            name and (name == "json" or name.startswith("json.")) for name in imported
+        )

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dsfusion import (
     ConditionOutOfRangeError,
@@ -244,7 +245,57 @@ class TestEvidenceFor:
         assert calls == []
 
 
+# Weights at the edges of (0, 1]: an int, its float, the smallest subnormal,
+# the float just below 1, and an exact half.
+EDGE_WEIGHTS = [1, 1.0, 5e-324, 1 - 2**-53, 0.5]
+
+
+@st.composite
+def scenario_parts(draw):
+    """(frame, motions, weight rows) for ``Scenario(...)``, all valid."""
+    size = draw(st.integers(min_value=2, max_value=8))
+    frame = Frame([f"h{i}" for i in range(size)])
+    proper = st.integers(min_value=1, max_value=(1 << size) - 2)
+    masks = draw(st.lists(proper, min_size=1, max_size=6))
+    motions = [Motion(f"m{i}", frame.subset_from_mask(m)) for i, m in enumerate(masks)]
+    weight = st.sampled_from(EDGE_WEIGHTS) | st.floats(0.0, 1.0, exclude_min=True)
+    row = st.lists(weight, min_size=len(motions), max_size=len(motions)).map(tuple)
+    return frame, motions, draw(st.lists(row, min_size=1, max_size=4))
+
+
+class TestScenarioBuild:
+    @given(parts=scenario_parts())
+    def test_evidence_is_one_simple_support_per_weight(self, parts):
+        frame, motions, rows = parts
+        s = Scenario(frame, motions, rows)
+        assert s.bpa == tuple(tuple(float(w) for w in row) for row in rows)
+        assert all(type(w) is float for row in s.bpa for w in row)
+        for c, row in enumerate(rows, start=1):
+            supports = [
+                MassFunction.simple_support(m.direction, w) for m, w in zip(motions, row)
+            ]
+            assert evidence_for(s, c) == supports
+            for m, w, support in zip(motions, row, supports):
+                entries = {m.direction: float(w)}
+                if w != 1:
+                    entries[frame.full] = 1 - float(w)
+                # the validating constructor, which sorts and re-sums
+                assert support.mask_items() == MassFunction(frame, entries).mask_items()
+
+
 class TestSelectWinner:
+    def test_unique_top_mass_computes_no_belief(self, flrb, monkeypatch):
+        m = MassFunction(
+            flrb,
+            {flrb.subset(["B"]): 0.5, flrb.subset(["L", "B"]): 0.3, flrb.full: 0.2},
+        )
+
+        def no_belief(self, subset):
+            raise AssertionError("belief computed for a lone top mass")
+
+        monkeypatch.setattr(MassFunction, "belief", no_belief)
+        assert select_winner(m) == flrb.subset(["B"])
+
     def test_theta_never_wins(self, flrb):
         m = MassFunction(flrb, {flrb.subset(["F"]): 0.1, flrb.full: 0.9})
         assert select_winner(m) == flrb.subset(["F"])
