@@ -38,11 +38,15 @@ def _check_text(value: str, where: str) -> None:
         raise SchemaError(f"{where} holds a lone surrogate")
 
 
-def _string_list(value: object, where: str) -> list[str]:
+def _string_list(
+    value: object, where: str, checked: frozenset[str] = frozenset()
+) -> list[str]:
+    # A string in ``checked`` has passed the lone-surrogate check already.
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{where} must be an array of strings")
     for x in value:
-        _check_text(x, where)
+        if x not in checked:
+            _check_text(x, where)
     return value
 
 
@@ -67,6 +71,7 @@ def parse_scenario(text: str) -> Scenario:
             f"top-level keys must be exactly {sorted(_TOP_KEYS)}, got {sorted(data)}"
         )
     labels = _string_list(data["frame"], '"frame"')
+    frame_labels = frozenset(labels)
     sources = data["sources"]
     if not isinstance(sources, list) or not sources:
         raise SchemaError('"sources" must be a non-empty array')
@@ -89,7 +94,7 @@ def parse_scenario(text: str) -> Scenario:
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in bpa
         ):
             raise SchemaError(f'{where}["bpa"] must be an array of numbers')
-        focal = _string_list(source["focal"], f'{where}["focal"]')
+        focal = _string_list(source["focal"], f'{where}["focal"]', frame_labels)
         rows.append((source["name"], focal, bpa))
 
     lengths = {len(bpa) for _, _, bpa in rows}

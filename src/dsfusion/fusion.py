@@ -27,8 +27,9 @@ for bit by construction:
   once at the end.  The tests hold it equal to an n-way enumeration of focal
   tuples, which keeps the rule's associativity a test, not an assumption.
 
-The loop crosses a simple support without an inner loop, and its sums stay
-bit for bit those of the plain left-major double loop.
+The loop crosses a simple support without an inner loop, and it writes each
+row's own mask without a lookup: masks ascend and a row adds only to masks
+within its own.  Its sums stay bit for bit those of the plain double loop.
 """
 
 from __future__ import annotations
@@ -130,28 +131,30 @@ def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]
     Returns the m1(B)*m2(C) sums by non-empty intersection mask and the conflict
     k, summed left-major: left focal B ascending, then right focal C ascending.
     A simple support with weight < 1 (one proper focal C, then Θ) needs no
-    inner loop: each row intersects B with C, then adds m1(B)*m2(Θ) onto B,
-    since B n Θ = B.  Those are the row's two pairs in the double loop's
-    order, so every sum is bit for bit the same.
+    inner loop.  Masks ascend and a row adds only to B n C and B, both within
+    B, so no earlier row has reached B: row B writes its own slot, and only
+    later supersets add to it.  As 0.0 + x == x, every sum is the double loop's.
     """
     m1.frame.check_same(m2.frame)
     acc: dict[int, float] = {}
     get = acc.get
     k = 0.0
-    right = m2.mask_items()
-    if len(right) == 2 and right[1][0] == m2.frame._full_mask:
-        (c, mc), (_, m_full) = right
-        for b, mb in m1.mask_items():
+    right = m2._masses
+    if len(right) == 2 and m2.frame._full_mask in right:
+        (c, mc), (_, m_full) = right.items()
+        for b, mb in m1._masses.items():
             inter = b & c
-            p = mb * mc
+            if inter == b:
+                acc[b] = mb * mc + mb * m_full
+                continue
             if inter:
-                acc[inter] = get(inter, 0.0) + p
+                acc[inter] = get(inter, 0.0) + mb * mc
             else:
-                k += p
-            acc[b] = get(b, 0.0) + mb * m_full
+                k += mb * mc
+            acc[b] = mb * m_full
         return acc, k
-    for b, mb in m1.mask_items():
-        for c, mc in right:
+    for b, mb in m1._masses.items():
+        for c, mc in right.items():
             inter = b & c
             p = mb * mc
             if inter:
@@ -230,7 +233,7 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     results = [acc]
     ks: list[float] = []
     for step_no, source in enumerate(sources[1:], start=1):
-        cells = len(acc) * len(source)
+        cells = len(acc._masses) * len(source._masses)
         if cells > FOLD_CELL_CAP:
             raise _over_cap(step_no, cells)
         products, k = _cross(acc, source)

@@ -144,6 +144,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="lone surrogate"):
             parse_scenario(text)
 
+    def test_lone_surrogate_focal_label_outside_the_frame(self):
+        # only focal labels that are frame labels skip the surrogate check
+        focal = ["a", "\ud800"]
+        text = doc(sources=[{"name": "s", "focal": focal, "bpa": [0.5]}])
+        with pytest.raises(SchemaError, match=r'sources\[0\]\["focal"\] holds a lone'):
+            parse_scenario(text)
+
     def test_unknown_focal_label(self):
         with pytest.raises(ValidationError):
             parse_scenario(doc(sources=[{"name": "s", "focal": ["z"], "bpa": [0.5]}]))

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsfusion import (
     CombinationTrace,
@@ -27,6 +27,7 @@ from dsfusion.fusion import _cross, _normalize
 from helpers import (
     doubling_document,
     random_mass,
+    random_simple_masses,
     reference_cross,
     reference_oracle,
 )
@@ -379,6 +380,27 @@ class TestFoldCap:
             fold(sources)
 
 
+def test_focal_masks_ascend_on_every_constructor_path():
+    # The kernel writes a row's own mask without a lookup because no earlier
+    # row can have reached it, which holds only while focal masks ascend.
+    descending = [FLRB.subset_from_mask(mask) for mask in (14, 9, 6, 1)]
+    general = MassFunction(FLRB, {s: 0.25 for s in descending})
+    wide = Frame([f"h{i}" for i in range(10)])
+    chain = random_simple_masses(random.Random(71), wide, 16)
+    built = [
+        general,
+        MassFunction(FLRB, [(s, 0.25) for s in descending]),
+        MassFunction.simple_support(FLRB.subset(["L", "B"]), 0.4),
+        MassFunction.vacuous(FLRB),
+        combine(general, table5_left()),
+        *fuse_all(chain).results,
+        oracle_fuse_all(chain),
+    ]
+    assert len(built[-1]) > 50
+    for m in built:
+        assert list(m._masses) == sorted(m._masses)
+
+
 class TestOracle:
     def test_matches_pairwise_combine(self, flrb):
         m1 = MassFunction.simple_support(flrb.subset(["F"]), 0.75)
@@ -573,11 +595,12 @@ def kernel_operands():
 
 def reference_fuse_all(sources):
     """fuse_all's results and conflicts, folded with the plain double loop."""
+    frame = sources[0].frame
     results = [sources[0]]
     ks = []
     for step_no, source in enumerate(sources[1:], start=1):
         products, k = reference_cross(results[-1], source)
-        results.append(_normalize(FLRB, products, k, step=step_no))
+        results.append(_normalize(frame, products, k, step=step_no))
         ks.append(k)
     return tuple(results), tuple(ks)
 
@@ -618,6 +641,62 @@ def test_cross_matches_reference_bit_for_bit(m1, m2):
 )
 def test_fuse_all_matches_reference_fold_bit_for_bit(first, rest):
     sources = [first, *rest]
+    try:
+        expected = reference_fuse_all(sources)
+    except TotalConflictError as exc:
+        with pytest.raises(TotalConflictError) as direct:
+            fuse_all(sources)
+        assert (direct.value.step, direct.value.conflict) == (exc.step, exc.conflict)
+        return
+    report = fuse_all(sources)
+    assert [m.mask_items() for m in report.results] == [
+        m.mask_items() for m in expected[0]
+    ]
+    assert report.per_step_conflict == expected[1]
+
+
+def wide_support(frame, edge_weights):
+    """Strategy: a simple support on ``frame`` whose focal is the frame less a
+    drawn set of labels, so a fold of several holds long chains of nested
+    masks.  With ``edge_weights``, weights also include 1.0 (no Θ, so the
+    kernel's double loop runs) and 5e-324 (every product underflows)."""
+    size = len(frame)
+    full = (1 << size) - 1
+    left_out = st.sets(st.integers(min_value=0, max_value=size - 1), min_size=1)
+    focal = left_out.filter(lambda out: len(out) < size).map(
+        lambda out: frame.subset_from_mask(full & ~sum(1 << i for i in out))
+    )
+    weight = st.integers(min_value=1, max_value=999).map(lambda w: w / 1000)
+    if edge_weights:
+        weight = weight | st.sampled_from([1.0, 5e-324])
+    return st.builds(MassFunction.simple_support, focal, weight)
+
+
+@st.composite
+def wide_chains(draw, max_extra):
+    """Strategy: 6-20 simple supports on one frame of 8-12 labels, then
+    1..max_extra supports that may have the edge weights."""
+    frame = Frame([f"h{i}" for i in range(draw(st.integers(8, 12)))])
+    chain = draw(st.lists(wide_support(frame, False), min_size=6, max_size=20))
+    extra = draw(st.lists(wide_support(frame, True), min_size=1, max_size=max_extra))
+    return chain, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands=wide_chains(max_extra=1))
+def test_cross_matches_reference_on_wide_folds(operands):
+    chain, (m2,) = operands
+    m1 = fuse_all(chain).final
+    products, k = _cross(m1, m2)
+    expected, expected_k = reference_cross(m1, m2)
+    assert products == expected
+    assert k == expected_k
+
+
+@settings(max_examples=30, deadline=None)
+@given(operands=wide_chains(max_extra=4))
+def test_fuse_all_matches_reference_on_wide_folds(operands):
+    sources = [*operands[0], *operands[1]]
     try:
         expected = reference_fuse_all(sources)
     except TotalConflictError as exc:
