@@ -14,9 +14,12 @@ Layout::
 Every source carries one weight per condition; the condition count is the
 (shared) length of the ``bpa`` arrays.  The sources go, in this per-source
 layout, to the one builder that ``builtin_takraw_scenario`` shares.
-Structural problems raise :class:`SchemaError`, malformed JSON raises
-:class:`ParseError`, and semantic problems (weights outside (0, 1], unknown
-labels, duplicate names) raise :class:`ValidationError`.
+Malformed JSON raises :class:`ParseError` and a wrong shape (a missing key,
+a value of the wrong type) raises :class:`SchemaError`.  Well-formed but
+invalid content (weights outside (0, 1], unknown labels, duplicate names, a
+lone surrogate in a label or name) raises :class:`ValidationError` from the
+checks that building the scenario runs, so a document and ``Scenario(...)``
+report the same problem alike.
 """
 
 from __future__ import annotations
@@ -27,26 +30,15 @@ import sys
 from json.encoder import encode_basestring
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
-from .scenario import Scenario, _encodable, _from_sources
+from .scenario import Scenario, _from_sources
 
 _TOP_KEYS = {"frame", "sources"}
 _SOURCE_KEYS = {"name", "focal", "bpa"}
 
 
-def _check_text(value: str, where: str) -> None:
-    if not _encodable(value):
-        raise SchemaError(f"{where} holds a lone surrogate")
-
-
-def _string_list(
-    value: object, where: str, checked: frozenset[str] = frozenset()
-) -> list[str]:
-    # A string in ``checked`` has passed the lone-surrogate check already.
+def _string_list(value: object, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{where} must be an array of strings")
-    for x in value:
-        if x not in checked:
-            _check_text(x, where)
     return value
 
 
@@ -71,7 +63,6 @@ def parse_scenario(text: str) -> Scenario:
             f"top-level keys must be exactly {sorted(_TOP_KEYS)}, got {sorted(data)}"
         )
     labels = _string_list(data["frame"], '"frame"')
-    frame_labels = frozenset(labels)
     sources = data["sources"]
     if not isinstance(sources, list) or not sources:
         raise SchemaError('"sources" must be a non-empty array')
@@ -88,13 +79,12 @@ def parse_scenario(text: str) -> Scenario:
             )
         if not isinstance(source["name"], str):
             raise SchemaError(f'{where}["name"] must be a string')
-        _check_text(source["name"], f'{where}["name"]')
         bpa = source["bpa"]
         if not isinstance(bpa, list) or not all(
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in bpa
         ):
             raise SchemaError(f'{where}["bpa"] must be an array of numbers')
-        focal = _string_list(source["focal"], f'{where}["focal"]', frame_labels)
+        focal = _string_list(source["focal"], f'{where}["focal"]')
         rows.append((source["name"], focal, bpa))
 
     lengths = {len(bpa) for _, _, bpa in rows}

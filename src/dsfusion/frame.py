@@ -69,7 +69,8 @@ class Frame:
         return label in self._positions
 
     def __repr__(self) -> str:
-        return f"Frame({', '.join(self._labels)})"
+        # Quoted, so a label that UTF-8 cannot carry is escaped in messages.
+        return f"Frame({', '.join(map(repr, self._labels))})"
 
     def position(self, label: str) -> int:
         """Index of ``label`` within the frame (exact, case-sensitive)."""

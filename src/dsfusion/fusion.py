@@ -7,9 +7,9 @@ empty set (the conflict k), and renormalizing the rest by 1 - k:
     m12(A) = sum(m1(B) * m2(C) for B n C = A, A != {}) / (1 - k)
     k      = sum(m1(B) * m2(C) for B n C = {})
 
-Combination is refused once k reaches ``1 - CONFLICT_EPSILON``: dividing by a
-vanishing 1 - k amplifies noise beyond any meaningful precision, and k = 1
-exactly means the cores are disjoint.  A product that underflows to exactly
+Combination is refused once k reaches ``1 - CONFLICT_EPSILON`` or no product
+survives: dividing by a vanishing 1 - k amplifies noise beyond any meaningful
+precision, and k = 1 exactly means the cores are disjoint.  A product that underflows to exactly
 0.0 is dropped, so every stored mass stays strictly positive.
 
 Every fold route shares one cross-product loop, ``_cross``, so they agree bit
@@ -44,7 +44,7 @@ from .errors import (
     TotalConflictError,
 )
 from .frame import Frame, Subset
-from .mass import MassFunction
+from .mass import SUM_TOLERANCE, MassFunction
 
 CONFLICT_EPSILON = 1e-9
 # Focal pairs one step of fuse_all may cross.  A fold of simple supports can
@@ -170,19 +170,22 @@ def _normalize(
     k: float,
     step: int | None,
 ) -> MassFunction:
-    if k >= 1.0 - CONFLICT_EPSILON:
-        raise TotalConflictError(k, step=step)
     if 0.0 in products.values():
         # A product that underflowed to 0.0 is no focal element.
         products = {mask: p for mask, p in products.items() if p}
+    # Inputs may sum to 1 only within SUM_TOLERANCE, so k can stay below the
+    # threshold while no product survives; that is a total conflict too.
+    if k >= 1.0 - CONFLICT_EPSILON or not products:
+        raise TotalConflictError(k, step=step)
     masks = sorted(products)
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
     # is amplified by the tiny denominator; the complementary sum keeps the
-    # result summing to 1 for every admissible k.  With no conflict at all
-    # the true denominator is exactly 1, so the combination stays bit-exact
-    # (vacuous stays neutral) and no division is needed.
-    if k == 0.0:
+    # result summing to 1 for every admissible k.  Only with no conflict at
+    # all and a kept weight within SUM_TOLERANCE of 1 is the division
+    # skipped, so the combination stays bit-exact (vacuous stays neutral);
+    # any other input is divided, so every valid input gives a valid result.
+    if k == 0.0 and abs(sum(products.values()) - 1.0) <= SUM_TOLERANCE:
         return MassFunction._from_mask_dict(frame, {m: products[m] for m in masks})
     denom = sum([products[m] for m in masks])
     return MassFunction._from_mask_dict(
@@ -280,6 +283,6 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
     total = sum(acc.values())
     if total == 0:
         raise TotalConflictError(1.0)
-    return MassFunction._from_mask_dict(
-        frame, {mask: float(Fraction(acc[mask], total)) for mask in sorted(acc)}
-    )
+    # A ratio below the smallest subnormal rounds to 0.0, which is no focal.
+    floats = [(mask, float(Fraction(acc[mask], total))) for mask in sorted(acc)]
+    return MassFunction._from_mask_dict(frame, {mask: q for mask, q in floats if q})

@@ -66,18 +66,20 @@ class MassFunction:
                 raise EmptySetMassError("the empty set cannot carry positive mass")
             if mass > 0.0:
                 accumulated[subset.mask] = accumulated.get(subset.mask, 0.0) + mass
-        total = sum(accumulated.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise NotNormalizedError(f"masses sum to {total!r}, not 1")
-        self._frame = frame
-        self._masses = {mask: accumulated[mask] for mask in sorted(accumulated)}
-
-    @classmethod
-    def _from_mask_dict(cls, frame: Frame, masses: dict[int, float]) -> MassFunction:
-        """Internal fast path: trusted, already-sorted positive masses."""
+        # Summed in mask order, as combining with the vacuous mass function sums
+        # them, so that every mass function accepted here stays bit-exact there.
+        masses = {mask: accumulated[mask] for mask in sorted(accumulated)}
         total = sum(masses.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalizedError(f"masses sum to {total!r}, not 1")
+        self._frame = frame
+        self._masses = masses
+
+    @classmethod
+    def _from_mask_dict(cls, frame: Frame, masses: dict[int, float]) -> MassFunction:
+        """Internal fast path that checks nothing: the caller guarantees that the
+        masks ascend, that every mass is finite and strictly positive, and that
+        the masses sum to 1 within ``SUM_TOLERANCE``."""
         m = object.__new__(cls)
         m._frame = frame
         m._masses = masses
@@ -106,8 +108,6 @@ class MassFunction:
         if not 0.0 < weight <= 1.0:
             raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
         rest = 1.0 - weight
-        if abs(weight + rest - 1.0) > SUM_TOLERANCE:
-            raise NotNormalizedError(f"masses sum to {weight + rest!r}, not 1")
         m = object.__new__(cls)
         m._frame, m._masses = frame, {mask: weight}
         if rest:  # a proper focal's mask is below the full mask: keys stay sorted

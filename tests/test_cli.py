@@ -345,6 +345,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "lone surrogate" in err
 
+    def test_unknown_focal_label_in_a_frame_with_a_lone_surrogate(self, capsys, tmp_path):
+        # the message quotes the frame, so the lone surrogate goes out escaped
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"frame": ["a", "\\ud800"], '
+            '"sources": [{"name": "s", "focal": ["z"], "bpa": [0.5]}]}'
+        )
+        code, out, err = run(capsys, "fuse", "--scenario", str(path), "--condition", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: label 'z' is not in Frame('a', '\\ud800')\n"
+
     def test_plus_in_label(self, capsys, tmp_path):
         # "a+b" would be the JSON key of both {a+b} and {a, b}
         path = tmp_path / "plus.json"

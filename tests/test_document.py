@@ -140,16 +140,27 @@ class TestParse:
         ids=["label", "name"],
     )
     def test_lone_surrogate_string(self, frame, name):
+        # Scenario(...) owns the check: well-formed, so not a SchemaError
         text = doc(frame=frame, sources=[{"name": name, "focal": ["a"], "bpa": [0.5]}])
-        with pytest.raises(SchemaError, match="lone surrogate"):
+        with pytest.raises(ValidationError, match="lone surrogate"):
             parse_scenario(text)
 
     def test_lone_surrogate_focal_label_outside_the_frame(self):
-        # only focal labels that are frame labels skip the surrogate check
+        # a focal label must be a frame label, so it needs no surrogate check
         focal = ["a", "\ud800"]
         text = doc(sources=[{"name": "s", "focal": focal, "bpa": [0.5]}])
-        with pytest.raises(SchemaError, match=r'sources\[0\]\["focal"\] holds a lone'):
+        with pytest.raises(ValidationError, match="is not in"):
             parse_scenario(text)
+
+    def test_lone_surrogate_message_is_scenarios(self):
+        name = "m\ud800"
+        text = doc(sources=[{"name": name, "focal": ["a"], "bpa": [0.5]}])
+        with pytest.raises(ValidationError) as parsed:
+            parse_scenario(text)
+        frame = Frame(["a", "b"])
+        with pytest.raises(ValidationError) as built:
+            Scenario(frame, [Motion(name, frame.subset(["a"]))], [(0.5,)])
+        assert str(parsed.value) == str(built.value)
 
     def test_unknown_focal_label(self):
         with pytest.raises(ValidationError):

@@ -12,6 +12,7 @@ from dsfusion import (
     Frame,
     FrameMismatchError,
     MassFunction,
+    NotNormalizedError,
     TotalConflictError,
     combine,
     combine_traced,
@@ -24,6 +25,7 @@ from dsfusion import (
 )
 
 from dsfusion.fusion import _cross, _normalize
+from dsfusion.mass import SUM_TOLERANCE
 from helpers import (
     doubling_document,
     random_mass,
@@ -463,6 +465,12 @@ class TestOracle:
             widths.append(len(final))
         assert max(widths) >= 100
 
+    def test_underflowed_ratio_is_dropped(self, flrb):
+        # m({F}) of m (+) m is 5e-324 squared over ~1, below the smallest subnormal
+        m = MassFunction(flrb, {flrb.subset(["F"]): 5e-324, flrb.subset(["B"]): 1.0})
+        assert oracle_fuse_all([m, m]).mask_items() == [(8, 1.0)]
+        assert oracle_fuse_all([m, m]) == fold([m, m])
+
     def test_total_conflict(self, flrb):
         with pytest.raises(TotalConflictError):
             oracle_fuse_all(
@@ -559,6 +567,67 @@ def test_oracle_equals_reference_enumeration(sources):
             oracle_fuse_all(sources)
         return
     assert oracle_fuse_all(sources) == expected
+
+
+def mass_sum(m):
+    return sum(mass for _, mass in m.mask_items())
+
+
+def rescaled(m, delta):
+    """``m`` with every mass times 1 + delta: still valid for |delta| <= 9e-10."""
+    return MassFunction(m.frame, [(s, mass * (1 + delta)) for s, mass in m.focal_elements()])
+
+
+DELTAS = st.floats(min_value=-9e-10, max_value=9e-10)
+FULL_F = MassFunction.simple_support(FLRB.subset(["F"]), 1.0)
+FULL_B = MassFunction.simple_support(FLRB.subset(["B"]), 1.0)
+
+
+class TestNormalization:
+    def test_zero_conflict_input_off_one_is_divided(self, flrb):
+        # valid, but its masses sum to 1 + 6e-10, so m (+) m keeps 1 + 1.2e-9
+        # with k = 0: the kept weight is divided out, not trusted to be 1
+        m = MassFunction(flrb, {flrb.subset(["F"]): 0.5, flrb.full: 0.5 + 6e-10})
+        oracle = oracle_fuse_all([m, m])
+        for result in (combine(m, m), fuse_all([m, m]).final, fold([m, m])):
+            assert abs(mass_sum(result) - 1.0) <= SUM_TOLERANCE
+            assert result.isclose(oracle, tolerance=1e-9)
+
+    def test_constructor_sums_in_mask_order(self):
+        # Each sum depends on its order: given as (C, A, B), the first set sums
+        # to 1.000000001, outside SUM_TOLERANCE, and the second within it; in
+        # mask order (A, B, C) it is the other way round.  The constructor
+        # decides in mask order, the order combining with the vacuous mass
+        # sums in, so everything it accepts stays bit-exact there.
+        frame = Frame(["A", "B", "C"])
+        a, b, c = (frame.subset([label]) for label in "ABC")
+        m = MassFunction(
+            frame, [(c, 0.02884665839759165), (a, 0.4876697976750375), (b, 0.4834835449273708)]
+        )
+        assert combine(m, MassFunction.vacuous(frame)) == m
+        assert combine(MassFunction.vacuous(frame), m) == m
+        with pytest.raises(NotNormalizedError):
+            MassFunction(
+                frame,
+                [(c, 0.4443348627873872), (a, 0.05124065774904858), (b, 0.5044244804635641)],
+            )
+
+    @given(m1=oracle_operands(), d1=DELTAS, m2=oracle_operands(), d2=DELTAS)
+    # inputs just under 1 put k = 1 - 1.8e-9 under the threshold with no
+    # product left: a total conflict, not an empty or unnormalized result
+    @example(m1=FULL_F, d1=-9e-10, m2=FULL_B, d2=-9e-10)
+    # inputs just over 1 keep 1 + 1.8e-9 with k = 0
+    @example(m1=FULL_F, d1=9e-10, m2=FULL_F, d2=9e-10)
+    def test_every_valid_input_combines(self, m1, d1, m2, d2):
+        m1, m2 = rescaled(m1, d1), rescaled(m2, d2)
+        assert combine(m1, MassFunction.vacuous(FLRB)) == m1
+        assert combine(MassFunction.vacuous(FLRB), m1) == m1
+        try:
+            result = combine(m1, m2)  # never a MassError
+        except TotalConflictError:
+            return
+        assert abs(mass_sum(result) - 1.0) <= SUM_TOLERANCE
+        assert all(mass > 0.0 for _, mass in result.mask_items())
 
 
 def kernel_operands():

@@ -15,10 +15,10 @@ from dsfusion.cli import main
 from helpers import doubling_document
 
 
-def one_source_doc(weight: str, label: str = "b") -> str:
+def one_source_doc(weight: str, label: str = "b", focal: str = "a") -> str:
     return (
         f'{{"frame": ["a", "{label}"], '
-        f'"sources": [{{"name": "s", "focal": ["a"], "bpa": [{weight}]}}]}}'
+        f'"sources": [{{"name": "s", "focal": ["{focal}"], "bpa": [{weight}]}}]}}'
     )
 
 
@@ -27,6 +27,8 @@ def one_source_doc(weight: str, label: str = "b") -> str:
 BEYOND_FLOAT_RANGE = one_source_doc("1" * 400)  # float() overflows
 BEYOND_DIGIT_LIMIT = one_source_doc("1" * 5000)  # json.loads refuses it
 LONE_SURROGATE = one_source_doc("0.5", label="\\ud800")  # UTF-8 cannot encode it
+# its error message quotes the frame, which holds the lone surrogate
+SURROGATE_FRAME_UNKNOWN_FOCAL = one_source_doc("0.5", label="\\ud800", focal="z")
 
 SHORT_TEXT = st.text(st.characters(categories=("Ll", "Nd", "Cs")), max_size=3)
 
@@ -81,10 +83,12 @@ def scenario_like(draw):
 @example(text=BEYOND_FLOAT_RANGE)
 @example(text=BEYOND_DIGIT_LIMIT)
 @example(text=LONE_SURROGATE)
+@example(text=SURROGATE_FRAME_UNKNOWN_FOCAL)
 def test_parse_scenario_raises_only_evidence_errors(text):
     try:
         scenario = parse_scenario(text)
-    except EvidenceError:
+    except EvidenceError as exc:
+        str(exc).encode("utf-8")  # no lone surrogate from the document leaks in
         return
     assert isinstance(scenario, Scenario)
     assert len(scenario_digest(scenario)) == 12
