@@ -34,7 +34,6 @@ within its own.  Its sums stay bit for bit those of the plain double loop.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -44,7 +43,7 @@ from .errors import (
     TotalConflictError,
 )
 from .frame import Frame, Subset
-from .mass import SUM_TOLERANCE, MassFunction
+from .mass import SUM_TOLERANCE, MassFunction, _shortest_decimal
 
 CONFLICT_EPSILON = 1e-9
 # Focal pairs one step of fuse_all may cross.  A fold of simple supports can
@@ -215,11 +214,12 @@ def combine_traced(m1: MassFunction, m2: MassFunction) -> CombinationTrace:
     return CombinationTrace((m1, m2), k, _normalize(m1.frame, products, k, step=None))
 
 
-def _over_cap(step_no: int, cells: int) -> ExplosionGuardError:
-    return ExplosionGuardError(
-        f"step {step_no} would cross {cells} focal pairs, "
-        f"over the cap of {FOLD_CELL_CAP}"
-    )
+def _check_cap(step_no: int, cells: int) -> None:
+    if cells > FOLD_CELL_CAP:
+        raise ExplosionGuardError(
+            f"step {step_no} would cross {cells} focal pairs, "
+            f"over the cap of {FOLD_CELL_CAP}"
+        )
 
 
 def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
@@ -236,9 +236,7 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
     results = [acc]
     ks: list[float] = []
     for step_no, source in enumerate(sources[1:], start=1):
-        cells = len(acc._masses) * len(source._masses)
-        if cells > FOLD_CELL_CAP:
-            raise _over_cap(step_no, cells)
+        _check_cap(step_no, len(acc._masses) * len(source._masses))
         products, k = _cross(acc, source)
         acc = _normalize(frame, products, k, step=step_no)
         results.append(acc)
@@ -252,28 +250,23 @@ def fold(sources: Sequence[MassFunction]) -> MassFunction:
 
 
 def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
-    """The same fusion in exact rational arithmetic, normalized once.
+    """The same fusion in exact integer arithmetic, normalized once.
 
-    Each source's masses are read through their shortest decimal
-    representation, so ordinary decimal inputs are exact, and scaled to
-    integer numerators over that source's common denominator.  The
-    un-normalized products are folded source by source onto non-empty
+    Each source's masses are read exactly as the decimals they print as
+    (:func:`~dsfusion.mass._shortest_decimal`), so ordinary decimal inputs
+    are exact, and scaled to integers at that source's lowest power of ten.
+    The un-normalized products are folded source by source onto non-empty
     intersections (Dempster's rule distributes over the sum), and divided by
     their total only at the end.  A step over ``FOLD_CELL_CAP`` focal pairs
     raises :class:`ExplosionGuardError`, as in :func:`fuse_all`.
     """
-    # Imported here so that CLI start-up does not pay for it.
-    from fractions import Fraction
-
     frame = _common_frame(sources)
     acc = {frame._full_mask: 1}
     for step_no, source in enumerate(sources):
-        exact = [(mask, Fraction(repr(mass))) for mask, mass in source.mask_items()]
-        scale = math.lcm(*(q.denominator for _, q in exact))
-        right = [(mask, q.numerator * (scale // q.denominator)) for mask, q in exact]
-        cells = len(acc) * len(right)
-        if cells > FOLD_CELL_CAP:
-            raise _over_cap(step_no, cells)
+        exact = [(mask, *_shortest_decimal(mass)) for mask, mass in source.mask_items()]
+        low = min(e for _, _, e in exact)
+        right = [(mask, n * 10 ** (e - low)) for mask, n, e in exact]
+        _check_cap(step_no, len(acc) * len(right))
         crossed: dict[int, int] = {}
         for b, nb in acc.items():
             for c, nc in right:
@@ -283,6 +276,6 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
     total = sum(acc.values())
     if total == 0:
         raise TotalConflictError(1.0)
-    # A ratio below the smallest subnormal rounds to 0.0, which is no focal.
-    floats = [(mask, float(Fraction(acc[mask], total))) for mask in sorted(acc)]
+    # Int true division rounds the exact ratio once; one that rounds to 0.0 is no focal.
+    floats = [(mask, acc[mask] / total) for mask in sorted(acc)]
     return MassFunction._from_mask_dict(frame, {mask: q for mask, q in floats if q})

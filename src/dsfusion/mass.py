@@ -46,6 +46,13 @@ def _as_float(value: object, error: type[EvidenceError], what: str) -> float:
     raise error(f"{what} {value!r} is not a number")
 
 
+def _shortest_decimal(value: float) -> tuple[int, int]:
+    """The decimal ``repr(value)`` prints, read exactly as n * 10**e: (n, e)."""
+    digits, _, exponent = repr(value).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
 class MassFunction:
     """A validated basic probability assignment m: subsets -> (0, 1]."""
 

@@ -1,30 +1,32 @@
 """Report rendering: trace tables, JSON and CSV emission.
 
 Rendering never recomputes: every number printed comes straight from the
-in-memory report, formatted for display only.  Table output rounds half-up
-at a configurable number of decimals (a two-decimal rendering of the 0.1875
-cell must read 0.19, which bankers' rounding would spoil); JSON and CSV carry
-full precision.
+in-memory report, formatted for display only.  Table output rounds the
+decimal each value (never negative) prints as, half-up to a configurable
+number of places (two places for the 0.1875 cell must read 0.19, which
+bankers' rounding would spoil); JSON and CSV carry full precision.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .document import _json_text
 from .frame import Subset
 from .fusion import CombinationTrace, FusionReport
-from .mass import MassFunction
+from .mass import MassFunction, _shortest_decimal
 from .scenario import Prediction, Scenario, SweepFailure
 
 _DIRECTION_WORDS = {"F": "front", "L": "left", "R": "right", "B": "back"}
 
 
 def format_mass(value: float, digits: int) -> str:
-    """Fixed-point decimal with half-up rounding."""
-    quantum = Decimal(1).scaleb(-digits)
-    return format(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
+    """``digits`` >= 1 places, half-up on the decimal ``value`` >= 0 prints as."""
+    n, e = _shortest_decimal(value)
+    shift = e + digits  # value * 10**digits == n * 10**shift
+    units = n * 10**shift if shift >= 0 else (2 * n + 10**-shift) // (2 * 10**-shift)
+    text = str(units).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 def format_full(value: float) -> str:

@@ -559,6 +559,13 @@ def oracle_operands():
 
 
 @given(sources=st.lists(oracle_operands(), min_size=1, max_size=5))
+# weights that print with an exponent; no drawn mass is below 1/4000
+@example(
+    sources=[
+        MassFunction.simple_support(FLRB.subset_from_mask(mask), weight)
+        for mask, weight in [(1, 5e-324), (3, 1e-05), (6, 3.3e-10), (5, 0.1)]
+    ]
+)
 def test_oracle_equals_reference_enumeration(sources):
     try:
         expected = reference_oracle(sources)

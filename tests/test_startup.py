@@ -29,9 +29,13 @@ from dsfusion.render import RunReport
 ROOT = Path(__file__).resolve().parents[1]
 
 # dataclasses (with inspect, ast, dis), the modules only one path uses (the
-# exact-rational oracle, the scenario digest and CSV output), and logging,
-# which dsfusion does not use and which costs several ms to import.
-DEFERRED = ("dataclasses", "inspect", "fractions", "hashlib", "csv", "logging")
+# scenario digest and CSV output), and what dsfusion does not use: logging,
+# which costs several ms to import, and the decimal and rational number
+# towers, whose one idea here (a float's printed decimal) is integer arithmetic.
+DEFERRED = (
+    "dataclasses", "inspect", "hashlib", "csv", "logging",
+    "decimal", "numbers", "fractions",
+)
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -67,6 +71,20 @@ def test_fuse_json_does_not_load_hashlib():
         "print(code, 'hashlib' in sys.modules, file=sys.stderr)\n"
     )
     assert _fresh_interpreter(code).stderr.split() == ["0", "False"]
+
+
+def test_table_trace_and_oracle_load_no_number_tower():
+    # format_mass and oracle_fuse_all read a float's printed decimal as ints.
+    code = (
+        "import sys\n"
+        "from dsfusion import builtin_takraw_scenario, evidence_for, oracle_fuse_all\n"
+        "from dsfusion.cli import main\n"
+        "code = main(['fuse', '--builtin', 'takraw', '--condition', '1', '--trace'])\n"
+        "oracle_fuse_all(evidence_for(builtin_takraw_scenario(), 1))\n"
+        "towers = ('decimal', 'numbers', 'fractions')\n"
+        "print(code, *sorted(set(towers).intersection(sys.modules)), file=sys.stderr)\n"
+    )
+    assert _fresh_interpreter(code).stderr.split() == ["0"]
 
 
 def _records():
