@@ -31,6 +31,12 @@ MAX_FRAME_SIZE = 64
 _token_counter = itertools.count(1)
 
 
+def _encodable(text: str) -> bool:
+    """False if ``text`` holds a lone surrogate such as "\\ud800" (JSON admits
+    one, UTF-8 cannot carry it)."""
+    return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
+
+
 class Frame:
     """An ordered, finite set of mutually exclusive hypothesis labels."""
 
@@ -195,4 +201,7 @@ class Subset:
             return "∅"
         if self.is_full:
             return "Θ"
-        return "{" + ",".join(self.labels) + "}"
+        text = ",".join(self._frame._labels_of(self._mask))
+        if not _encodable(text):  # escape lone surrogates, so messages encode
+            text = text.encode("utf-8", "backslashreplace").decode("utf-8")
+        return "{" + text + "}"

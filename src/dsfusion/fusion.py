@@ -169,6 +169,13 @@ def _normalize(
     k: float,
     step: int | None,
 ) -> MassFunction:
+    """Dempster's normalization of one step's cross product.
+
+    Takes ownership of ``products``: it may become the result's own dict.
+    Products already in ascending mask order are not copied; others are
+    rebuilt in mask order.  One mask-order sum of the kept weight serves both
+    the no-conflict test and the divisor.
+    """
     if 0.0 in products.values():
         # A product that underflowed to 0.0 is no focal element.
         products = {mask: p for mask, p in products.items() if p}
@@ -177,6 +184,9 @@ def _normalize(
     if k >= 1.0 - CONFLICT_EPSILON or not products:
         raise TotalConflictError(k, step=step)
     masks = sorted(products)
+    if masks != list(products):
+        products = {mask: products[mask] for mask in masks}
+    kept = sum(products.values())
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
     # is amplified by the tiny denominator; the complementary sum keeps the
@@ -184,11 +194,10 @@ def _normalize(
     # all and a kept weight within SUM_TOLERANCE of 1 is the division
     # skipped, so the combination stays bit-exact (vacuous stays neutral);
     # any other input is divided, so every valid input gives a valid result.
-    if k == 0.0 and abs(sum(products.values()) - 1.0) <= SUM_TOLERANCE:
-        return MassFunction._from_mask_dict(frame, {m: products[m] for m in masks})
-    denom = sum([products[m] for m in masks])
+    if k == 0.0 and abs(kept - 1.0) <= SUM_TOLERANCE:
+        return MassFunction._from_mask_dict(frame, products)
     return MassFunction._from_mask_dict(
-        frame, {mask: products[mask] / denom for mask in masks}
+        frame, {mask: p / kept for mask, p in products.items()}
     )
 
 

@@ -28,15 +28,9 @@ from .errors import (
     MassError,
     ValidationError,
 )
-from .frame import Frame, Subset
+from .frame import Frame, Subset, _encodable
 from .fusion import FusionReport, fuse_all
 from .mass import MassFunction
-
-
-def _encodable(text: str) -> bool:
-    """False if ``text`` holds a lone surrogate such as "\\ud800" (JSON admits
-    one, UTF-8 cannot carry it)."""
-    return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
 
 
 class Motion(NamedTuple):
@@ -224,16 +218,23 @@ def select_winner(final: MassFunction) -> Subset:
     """The predicted direction subset: argmax mass over proper non-empty focals.
 
     The full frame never wins (total ignorance is not a direction).  Exact
-    ties go to the higher belief, then to the lower subset mask.
+    ties go to the higher belief, then to the lower subset mask.  Masks
+    ascend, so Θ, if it is a focal element, is the last one and is dropped
+    before the maximum is taken.
     """
-    full = final.frame._full_mask
-    eligible = [(mask, m) for mask, m in final.mask_items() if mask != full]
-    if not eligible:
+    frame = final.frame
+    masks = list(final._masses)
+    masses = list(final._masses.values())
+    if masks[-1] == frame._full_mask:
+        del masks[-1], masses[-1]
+    if not masses:
         raise ValidationError("no proper focal element to choose a winner from")
-    top = max(m for _, m in eligible)
+    top = max(masses)
+    if masses.count(top) == 1:
+        return frame.subset_from_mask(masks[masses.index(top)])
     # Belief is O(focals), so it is only evaluated when masks tie at the top.
-    tied = [final.frame.subset_from_mask(mask) for mask, m in eligible if m == top]
-    return tied[0] if len(tied) == 1 else max(tied, key=lambda s: (final.belief(s), -s.mask))
+    tied = [frame.subset_from_mask(mask) for mask, m in zip(masks, masses) if m == top]
+    return max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
 def prediction_from_report(report: FusionReport, condition: int) -> Prediction:

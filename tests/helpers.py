@@ -12,7 +12,15 @@ import json
 import random
 from fractions import Fraction
 
-from dsfusion import Frame, MassFunction, Motion, Scenario, TotalConflictError
+from dsfusion import (
+    Frame,
+    MassFunction,
+    Motion,
+    Scenario,
+    Subset,
+    TotalConflictError,
+    ValidationError,
+)
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 4) -> MassFunction:
@@ -84,6 +92,22 @@ def reference_cross(
             else:
                 k += p
     return acc, k
+
+
+def reference_winner(final: MassFunction) -> Subset:
+    """The predicted direction subset: argmax mass over proper non-empty focals.
+
+    The full frame never wins (total ignorance is not a direction).  Exact
+    ties go to the higher belief, then to the lower subset mask.
+    """
+    full = final.frame._full_mask
+    eligible = [(mask, m) for mask, m in final.mask_items() if mask != full]
+    if not eligible:
+        raise ValidationError("no proper focal element to choose a winner from")
+    top = max(m for _, m in eligible)
+    # Belief is O(focals), so it is only evaluated when masks tie at the top.
+    tied = [final.frame.subset_from_mask(mask) for mask, m in eligible if m == top]
+    return tied[0] if len(tied) == 1 else max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
 def reference_oracle(sources: list[MassFunction]) -> MassFunction:

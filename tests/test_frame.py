@@ -13,6 +13,8 @@ from dsfusion import (
     FrameError,
     FrameMismatchError,
     FrameTooLargeError,
+    MassFunction,
+    NegativeMassError,
     UnknownLabelError,
 )
 
@@ -99,6 +101,19 @@ class TestSubsetConstruction:
         assert repr(flrb.empty) == "∅"
         assert repr(flrb.full) == "Θ"
         assert repr(flrb.subset(["L", "B"])) == "{L,B}"
+
+    def test_repr_escapes_only_lone_surrogates(self):
+        frame = Frame(["\ud800", "é", "a"])
+        assert repr(frame.subset(["\ud800", "é"])) == "{\\ud800,é}"
+        assert repr(frame.subset(["é", "a"])) == "{é,a}"
+
+    def test_messages_on_a_lone_surrogate_frame_encode(self):
+        frame = Frame(["\ud800", "a"])
+        with pytest.raises(NegativeMassError) as caught:
+            MassFunction(frame, {frame.subset(["\ud800"]): -1.0, frame.full: 2.0})
+        assert str(caught.value).encode("utf-8") == b"mass -1.0 for {\\ud800} is negative"
+        m = MassFunction(frame, {frame.subset(["\ud800"]): 0.5, frame.full: 0.5})
+        assert repr(m).encode("utf-8") == "MassFunction({\\ud800}: 0.5, Θ: 0.5)".encode("utf-8")
 
 
 class TestSetAlgebra:

@@ -785,3 +785,30 @@ def test_fuse_all_matches_reference_on_wide_folds(operands):
         m.mask_items() for m in expected[0]
     ]
     assert report.per_step_conflict == expected[1]
+
+
+@given(
+    items=st.dictionaries(
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=0, max_value=1000),
+        min_size=1,
+        max_size=15,
+    ).map(lambda w: [(mask, n / (sum(w.values()) or 1)) for mask, n in w.items()]),
+    k=st.just(0.0) | st.floats(min_value=0.0, max_value=1.0),
+    order=st.randoms(use_true_random=False),
+)
+@example(items=[(12, 0.25), (3, 0.5), (15, 0.25)], k=0.0, order=random.Random(0))
+def test_normalize_ignores_insertion_order(items, k, order):
+    # Ascending products take the path that keeps the dict, the others the
+    # path that rebuilds it; at k = 0 a kept weight of 1 is not divided.
+    shuffled = list(items)
+    order.shuffle(shuffled)
+    outcomes = []
+    for pairs in (sorted(items), sorted(items, reverse=True), shuffled):
+        try:
+            outcomes.append(_normalize(FLRB, dict(pairs), k, step=3).mask_items())
+        except TotalConflictError as exc:
+            outcomes.append((exc.step, exc.conflict, str(exc)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if isinstance(outcomes[0], list):
+        assert [mask for mask, _ in outcomes[0]] == sorted(mask for mask, p in items if p)

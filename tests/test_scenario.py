@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dsfusion import (
     ConditionOutOfRangeError,
@@ -28,6 +28,7 @@ from dsfusion import (
     select_winner,
     sweep,
 )
+from helpers import reference_winner
 
 # exact-oracle winning masses for conditions 1..9 of the builtin scenario
 SWEEP_WINNER_MASSES = (
@@ -363,6 +364,35 @@ class TestSelectWinner:
                 continue
             expected = max(eligible, key=lambda e: (e[1], m.belief(e[0]), -e[0].mask))[0]
             assert select_winner(m) == expected
+
+
+FLRB = Frame(["F", "L", "R", "B"])
+
+
+@given(
+    weights=st.dictionaries(
+        st.integers(min_value=1, max_value=FLRB.full.mask),
+        st.integers(min_value=1, max_value=3),
+        min_size=1,
+        max_size=15,
+    )
+)
+@example(weights={FLRB.full.mask: 3, 1: 2, 2: 2})  # Θ holds the top mass
+@example(weights={FLRB.full.mask: 1})  # Θ alone: no winner
+@example(weights={1: 1, 3: 1, 8: 1, 11: 1})  # a tie without Θ, broken by belief
+def test_select_winner_matches_reference(weights):
+    # masses on a grid of thirds or less, so exact ties at the top are common
+    total = sum(weights.values())
+    m = MassFunction(
+        FLRB, {FLRB.subset_from_mask(mask): w / total for mask, w in weights.items()}
+    )
+    try:
+        expected = reference_winner(m)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            select_winner(m)
+        return
+    assert select_winner(m) == expected
 
 
 class TestPredict:
