@@ -19,20 +19,14 @@ from .errors import (
     ConditionOutOfRangeError,
     DocumentError,
     DuplicateLabelError,
-    EmptyFocalError,
     EmptyFrameError,
     EmptyInputError,
-    EmptyLabelError,
-    EmptySetMassError,
     EvidenceError,
     ExplosionGuardError,
-    FocalIsFullFrameError,
     FrameError,
     FrameMismatchError,
-    FrameTooLargeError,
     FusionError,
     MassError,
-    NegativeMassError,
     NotNormalizedError,
     ParseError,
     SchemaError,
@@ -77,24 +71,18 @@ __all__ = [
     "ConditionOutOfRangeError",
     "DocumentError",
     "DuplicateLabelError",
-    "EmptyFocalError",
     "EmptyFrameError",
     "EmptyInputError",
-    "EmptyLabelError",
-    "EmptySetMassError",
     "EvidenceError",
     "ExplosionGuardError",
-    "FocalIsFullFrameError",
     "Frame",
     "FrameError",
     "FrameMismatchError",
-    "FrameTooLargeError",
     "FusionError",
     "FusionReport",
     "MassError",
     "MassFunction",
     "Motion",
-    "NegativeMassError",
     "NotNormalizedError",
     "ParseError",
     "Prediction",

@@ -14,12 +14,12 @@ Layout::
 Every source carries one weight per condition; the condition count is the
 (shared) length of the ``bpa`` arrays.  The sources go, in this per-source
 layout, to the one builder that ``builtin_takraw_scenario`` shares.
-Malformed JSON raises :class:`ParseError` and a wrong shape (a missing key,
-a value of the wrong type) raises :class:`SchemaError`.  Well-formed but
-invalid content (weights outside (0, 1], unknown labels, duplicate names, a
-lone surrogate in a label or name) raises :class:`ValidationError` from the
-checks that building the scenario runs, so a document and ``Scenario(...)``
-report the same problem alike.
+Malformed JSON raises :class:`ParseError` and a wrong shape (a missing or
+repeated key, a value of the wrong type) raises :class:`SchemaError`.
+Well-formed but invalid content (weights outside (0, 1], unknown labels,
+duplicate names, a lone surrogate in a label or name) raises
+:class:`ValidationError` from the checks that building the scenario runs, so
+a document and ``Scenario(...)`` report the same problem alike.
 """
 
 from __future__ import annotations
@@ -42,16 +42,36 @@ def _string_list(value: object, where: str) -> list[str]:
     return value
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object whose keys are all distinct: ``json`` would keep the last."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"key {key!r} is repeated")
+            seen.add(key)
+    return data
+
+
+# One decoder for every call: json.loads builds a new one for each call given a
+# hook, and those leave blocks behind in a process that parses in a loop.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
+    if text.startswith("\ufeff"):  # as json.loads refuses it
+        message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise ParseError(message, line=1, column=1)
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
     except ValueError:
-        # json.loads refuses integer literals longer than this limit
+        # json refuses integer literals longer than this limit
         raise ParseError(
             f"a number has more than {sys.get_int_max_str_digits()} digits"
         ) from None

@@ -22,16 +22,8 @@ class EmptyFrameError(FrameError):
     """A frame needs at least one hypothesis label."""
 
 
-class FrameTooLargeError(FrameError):
-    """More labels than the 64-hypothesis cap."""
-
-
 class DuplicateLabelError(FrameError):
     """The same label appears twice in a frame."""
-
-
-class EmptyLabelError(FrameError):
-    """A frame label is the empty string."""
 
 
 class UnknownLabelError(FrameError):
@@ -52,24 +44,8 @@ class NotNormalizedError(MassError):
     """Masses do not sum to one within tolerance."""
 
 
-class NegativeMassError(MassError):
-    """A mass value is negative."""
-
-
-class EmptySetMassError(MassError):
-    """Positive mass was assigned to the empty set."""
-
-
-class EmptyFocalError(MassError):
-    """A simple support function needs a non-empty focal set."""
-
-
 class WeightOutOfRangeError(MassError):
     """A support weight must lie in (0, 1]."""
-
-
-class FocalIsFullFrameError(MassError):
-    """A simple support focal must be a proper subset of the frame."""
 
 
 # --- combination -------------------------------------------------------------

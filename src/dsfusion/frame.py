@@ -19,10 +19,8 @@ from collections.abc import Iterable, Iterator
 from .errors import (
     DuplicateLabelError,
     EmptyFrameError,
-    EmptyLabelError,
     FrameError,
     FrameMismatchError,
-    FrameTooLargeError,
     UnknownLabelError,
 )
 
@@ -47,7 +45,7 @@ class Frame:
         if not labels:
             raise EmptyFrameError("a frame needs at least one label")
         if len(labels) > MAX_FRAME_SIZE:
-            raise FrameTooLargeError(
+            raise FrameError(
                 f"{len(labels)} labels exceed the {MAX_FRAME_SIZE}-label cap"
             )
         positions: dict[str, int] = {}
@@ -55,7 +53,7 @@ class Frame:
             if not isinstance(label, str):
                 raise FrameError(f"label {label!r} is not a string")
             if not label:
-                raise EmptyLabelError("labels must be non-empty")
+                raise FrameError("labels must be non-empty")
             if label in positions:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
             positions[label] = i
@@ -108,7 +106,7 @@ class Frame:
     def subsets(self) -> Iterator[Subset]:
         """All 2^n subsets in ascending mask order.  Small frames only."""
         if len(self._labels) > 20:
-            raise FrameTooLargeError("powerset iteration is limited to 20 labels")
+            raise FrameError("powerset iteration is limited to 20 labels")
         for mask in range(self._full_mask + 1):
             yield Subset(self, mask)
 

@@ -12,16 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 
-from .errors import (
-    EmptyFocalError,
-    EmptySetMassError,
-    EvidenceError,
-    FocalIsFullFrameError,
-    MassError,
-    NegativeMassError,
-    NotNormalizedError,
-    WeightOutOfRangeError,
-)
+from .errors import EvidenceError, MassError, NotNormalizedError, WeightOutOfRangeError
 from .frame import Frame, Subset
 
 SUM_TOLERANCE = 1e-9
@@ -68,9 +59,9 @@ class MassFunction:
             if not math.isfinite(mass):
                 raise MassError(f"mass {mass!r} for {subset!r} is not finite")
             if mass < 0.0:
-                raise NegativeMassError(f"mass {mass!r} for {subset!r} is negative")
+                raise MassError(f"mass {mass!r} for {subset!r} is negative")
             if subset.is_empty and mass > 0.0:
-                raise EmptySetMassError("the empty set cannot carry positive mass")
+                raise MassError("the empty set cannot carry positive mass")
             if mass > 0.0:
                 accumulated[subset.mask] = accumulated.get(subset.mask, 0.0) + mass
         # Summed in mask order, as combining with the vacuous mass function sums
@@ -106,9 +97,9 @@ class MassFunction:
         """
         frame, mask = focal.frame, focal.mask
         if not mask:
-            raise EmptyFocalError("a simple support needs a non-empty focal set")
+            raise MassError("a simple support needs a non-empty focal set")
         if mask == frame._full_mask:
-            raise FocalIsFullFrameError(
+            raise MassError(
                 "a simple support's focal set must be a proper subset of the frame"
             )
         weight = _as_float(weight, WeightOutOfRangeError, "weight")

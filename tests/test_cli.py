@@ -343,6 +343,39 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and error in err
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + CONFLICT_DOC.encode("utf-8"))
+        code, out, err = run(capsys, "sweep", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                '{"frame": ["a", "b"], "frame": ["c", "d"], '
+                '"sources": [{"name": "s", "focal": ["c"], "bpa": [0.5]}]}',
+                "frame",
+            ),
+            (
+                '{"frame": ["a", "b"], '
+                '"sources": [{"name": "s", "focal": ["a"], "bpa": [0.5], "bpa": [0.7]}]}',
+                "bpa",
+            ),
+        ],
+        ids=["top-level", "source"],
+    )
+    def test_repeated_key(self, capsys, tmp_path, text, key):
+        # json keeps the last of repeated keys, which would fuse on the second
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "sweep", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: key '{key}' is repeated\n"
+
     def test_lone_surrogate_label(self, capsys, tmp_path):
         path = tmp_path / "surrogate.json"
         path.write_text(

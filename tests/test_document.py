@@ -80,6 +80,18 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"frame": ["a"], "sources": [], "frame": ["b"]}',
+            '{"frame": ["a", "b"], "sources": [{"name": "s", "focal": ["a"], '
+            '"name": "t", "bpa": [0.5]}]}',
+        ],
+    )
+    def test_repeated_key(self, text):
+        with pytest.raises(SchemaError, match="key .* is repeated"):
+            parse_scenario(text)
+
     def test_frame_not_strings(self):
         with pytest.raises(SchemaError):
             parse_scenario('{"frame": ["a", 3], "sources": []}')
