@@ -21,7 +21,6 @@ from .document import emit_scenario, parse_scenario, scenario_digest
 from .errors import EvidenceError, ParseError, TotalConflictError
 from .render import (
     RunReport,
-    fuse_csv,
     fuse_json,
     fuse_text,
     sweep_csv,
@@ -124,7 +123,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.format == "json":
         output = fuse_json(run)
     elif args.format == "csv":
-        output = fuse_csv(run)
+        output = sweep_csv([run.prediction])
     else:
         output = fuse_text(run, args.precision, args.trace)
     sys.stdout.write(output)

@@ -6,14 +6,14 @@ A :class:`Frame` fixes an ordered list of hypothesis labels; a
 integer operations.  Frames are capped at ``MAX_FRAME_SIZE`` (64) labels,
 the documented limit of the package.
 
-Frame identity is deliberately strict: two frames created separately are
-never compatible, even with identical labels, so values from different
-scenarios cannot be mixed by accident.
+A frame matches only itself: subsets and mass functions mix only within one
+frame object.  A frame built separately, with the same labels or not, is
+another frame, and so is an unpickled one; a copy is the frame itself.  So
+values from different scenarios cannot be mixed by accident.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 
 from .errors import (
@@ -26,8 +26,6 @@ from .errors import (
 
 MAX_FRAME_SIZE = 64
 
-_token_counter = itertools.count(1)
-
 
 def _encodable(text: str) -> bool:
     """False if ``text`` holds a lone surrogate such as "\\ud800" (JSON admits
@@ -38,7 +36,7 @@ def _encodable(text: str) -> bool:
 class Frame:
     """An ordered, finite set of mutually exclusive hypothesis labels."""
 
-    __slots__ = ("_labels", "_positions", "_token", "_full_mask")
+    __slots__ = ("_labels", "_positions", "_full_mask")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -59,7 +57,6 @@ class Frame:
             positions[label] = i
         self._labels = labels
         self._positions = positions
-        self._token = next(_token_counter)
         self._full_mask = (1 << len(labels)) - 1
 
     @property
@@ -68,6 +65,12 @@ class Frame:
 
     def __len__(self) -> int:
         return len(self._labels)
+
+    def __copy__(self) -> Frame:
+        return self  # immutable, and its identity is what matches
+
+    def __deepcopy__(self, memo: dict) -> Frame:
+        return self
 
     def __contains__(self, label: object) -> bool:
         return label in self._positions
@@ -117,10 +120,8 @@ class Frame:
 
     def check_same(self, other: Frame) -> None:
         """Raise :class:`FrameMismatchError` unless ``other`` is this frame."""
-        if self._token != other._token:
-            raise FrameMismatchError(
-                f"{self!r} (frame #{self._token}) is not {other!r} (frame #{other._token})"
-            )
+        if self is not other:
+            raise FrameMismatchError(f"{self!r} is another frame than {other!r}")
 
 
 class Subset:
@@ -189,10 +190,10 @@ class Subset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subset):
             return NotImplemented
-        return self._frame._token == other._frame._token and self._mask == other._mask
+        return self._frame is other._frame and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self._frame._token, self._mask))
+        return hash((self._frame, self._mask))
 
     def __repr__(self) -> str:
         if self.is_empty:

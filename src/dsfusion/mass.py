@@ -158,13 +158,10 @@ class MassFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return (
-            self._frame._token == other._frame._token
-            and self._masses == other._masses
-        )
+        return self._frame is other._frame and self._masses == other._masses
 
     def __hash__(self) -> int:
-        return hash((self._frame._token, tuple(self._masses.items())))
+        return hash((self._frame, tuple(self._masses.items())))
 
     def isclose(self, other: MassFunction, *, tolerance: float = 1e-12) -> bool:
         """Entry-wise comparison over the union of focal elements."""

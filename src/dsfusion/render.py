@@ -186,7 +186,9 @@ def _csv_row(p: Prediction) -> list[str]:
     ]
 
 
-def _csv(rows: list[list[str]]) -> str:
+def sweep_csv(results: list[Prediction | SweepFailure]) -> str:
+    """Per-condition summary rows (plot data); failed conditions are omitted.
+    ``fuse --format csv`` writes the one row of its prediction."""
     # Imported here so that CLI start-up does not pay for it.
     import csv
     import io
@@ -194,18 +196,8 @@ def _csv(rows: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-    writer.writerows(rows)
+    writer.writerows([_csv_row(r) for r in results if isinstance(r, Prediction)])
     return buffer.getvalue()
-
-
-def fuse_csv(run: RunReport) -> str:
-    """One summary row in the sweep CSV schema."""
-    return _csv([_csv_row(run.prediction)])
-
-
-def sweep_csv(results: list[Prediction | SweepFailure]) -> str:
-    """Per-condition summary rows (plot data); failed conditions are omitted."""
-    return _csv([_csv_row(r) for r in results if isinstance(r, Prediction)])
 
 
 _SWEEP_PRECISION = 4

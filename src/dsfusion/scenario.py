@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .errors import (
     ConditionOutOfRangeError,
     EvidenceError,
+    FusionError,
     MassError,
     ValidationError,
 )
@@ -43,7 +44,7 @@ class Motion(NamedTuple):
 class Scenario:
     """Motions plus a [condition][motion] weight matrix over one frame."""
 
-    __slots__ = ("_frame", "_motions", "_bpa", "_evidence")
+    __slots__ = ("_frame", "_motions", "_evidence")
 
     def __init__(
         self,
@@ -98,11 +99,6 @@ class Scenario:
         self._frame = frame
         self._motions = tuple(motions)
         self._evidence = tuple(evidence)
-        # A simple support's mass on its focal is the converted weight exactly.
-        self._bpa = tuple([
-            tuple([m._masses[motion.direction.mask] for motion, m in zip(motions, row)])
-            for row in evidence
-        ])
 
     @property
     def frame(self) -> Frame:
@@ -115,24 +111,28 @@ class Scenario:
     @property
     def bpa(self) -> tuple[tuple[float, ...], ...]:
         """Weights indexed [condition][motion], conditions in order."""
-        return self._bpa
+        # A simple support's mass on its focal is the converted weight exactly.
+        return tuple([
+            tuple([m._masses[mo.direction.mask] for mo, m in zip(self._motions, row)])
+            for row in self._evidence
+        ])
 
     @property
     def condition_count(self) -> int:
-        return len(self._bpa)
+        return len(self._evidence)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same labels, motions and weights.
 
-        Frames keep identity semantics for subset compatibility, but two
-        scenarios parsed from the same document must compare equal, so this
-        compares content, not frame tokens.
+        Subsets match only within one frame object, but two scenarios parsed
+        from the same document must compare equal, so this compares labels,
+        not frames.
         """
         if not isinstance(other, Scenario):
             return NotImplemented
         return (
             self._frame.labels == other._frame.labels
-            and self._bpa == other._bpa
+            and self.bpa == other.bpa
             and [(m.name, m.direction.labels) for m in self._motions]
             == [(m.name, m.direction.labels) for m in other._motions]
         )
@@ -228,7 +228,7 @@ def select_winner(final: MassFunction) -> Subset:
     if masks[-1] == frame._full_mask:
         del masks[-1], masses[-1]
     if not masses:
-        raise ValidationError("no proper focal element to choose a winner from")
+        raise FusionError("no proper focal element to choose a winner from")
     top = max(masses)
     if masses.count(top) == 1:
         return frame.subset_from_mask(masks[masses.index(top)])

@@ -1,6 +1,7 @@
-"""Shared randomized-input builders for the test suite.
+"""Shared builders for the test suite: randomized inputs, reference rules and
+a fresh interpreter.
 
-Everything takes a random.Random so individual tests stay reproducible.
+Every randomized builder takes a random.Random so individual tests stay reproducible.
 Masses are built from integer grids, keeping values exactly representable
 enough that sums land within normalization tolerance.
 """
@@ -9,18 +10,38 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from dsfusion import (
     Frame,
+    FusionError,
     MassFunction,
     Motion,
     Scenario,
     Subset,
     TotalConflictError,
-    ValidationError,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new ``python -S`` on this checkout's ``src``.
+
+    -S: site would preload modules of its own and hide what dsfusion loads.
+    """
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 4) -> MassFunction:
@@ -103,7 +124,7 @@ def reference_winner(final: MassFunction) -> Subset:
     full = final.frame._full_mask
     eligible = [(mask, m) for mask, m in final.mask_items() if mask != full]
     if not eligible:
-        raise ValidationError("no proper focal element to choose a winner from")
+        raise FusionError("no proper focal element to choose a winner from")
     top = max(m for _, m in eligible)
     # Belief is O(focals), so it is only evaluated when masks tie at the top.
     tied = [final.frame.subset_from_mask(mask) for mask, m in eligible if m == top]

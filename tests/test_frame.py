@@ -1,6 +1,8 @@
 """Frames and bitmask subsets: construction, algebra, identity."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -14,7 +16,10 @@ from dsfusion import (
     MassError,
     MassFunction,
     UnknownLabelError,
+    combine,
 )
+
+from helpers import fresh_interpreter
 
 
 class TestFrameConstruction:
@@ -184,6 +189,51 @@ class TestFrameIdentity:
         assert flrb.subset(["F"]) == flrb.subset(["F"])
         assert hash(flrb.subset(["F"])) == hash(flrb.subset(["F"]))
         assert flrb.subset(["F"]) != flrb.subset(["L"])
+        assert (flrb.subset(["F"]) == object()) is False
+
+    def test_mismatch_names_both_frames(self):
+        with pytest.raises(FrameMismatchError) as raised:
+            Frame(["a", "b"]).check_same(Frame(["x", "y", "z"]))
+        assert str(raised.value) == (
+            "Frame('a', 'b') is another frame than Frame('x', 'y', 'z')"
+        )
+
+    def test_copies_match_the_original(self, flrb):
+        f = flrb.subset(["F"])
+        m = MassFunction.simple_support(f, 0.75)
+        for copy_of in (copy.copy, copy.deepcopy):
+            copy_of(flrb).check_same(flrb)
+            assert copy_of(flrb).subset(["F"]) == f
+            assert copy_of(f) == f and copy_of(f) & f == f
+            assert copy_of(m) == m and hash(copy_of(m)) == hash(m)
+            assert combine(copy_of(m), m) == combine(m, m)
+
+    def test_unpickled_frame_is_another_frame(self, flrb):
+        # Each new interpreter builds its own first frame, so a count of the
+        # frames built in one process would number both frames alike.
+        dumped = fresh_interpreter(
+            "import pickle\n"
+            "from dsfusion import Frame, MassFunction\n"
+            "ab = Frame(['a', 'b'])\n"
+            "print(pickle.dumps(MassFunction.simple_support(ab.subset(['a']), 0.5)).hex())\n"
+        ).stdout.strip()
+        combined = fresh_interpreter(
+            "import pickle\n"
+            "from dsfusion import Frame, FrameMismatchError, MassFunction, combine\n"
+            "xyz = Frame(['x', 'y', 'z'])\n"
+            "m = MassFunction.simple_support(xyz.subset(['x']), 0.5)\n"
+            f"other = pickle.loads(bytes.fromhex({dumped!r}))\n"
+            "try:\n"
+            "    print(combine(m, other))\n"
+            "except FrameMismatchError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        ).stdout
+        assert combined == (
+            "FrameMismatchError Frame('x', 'y', 'z') is another frame than Frame('a', 'b')\n"
+        )
+        # and within one process too
+        m = MassFunction.simple_support(flrb.subset(["F"]), 0.75)
+        assert pickle.loads(pickle.dumps(m)) != m
 
 
 class TestPowersetIteration:

@@ -264,6 +264,7 @@ class TestEqualityAndIsclose:
         b = MassFunction.simple_support(flrb.subset(["F"]), 0.75)
         assert a == b
         assert hash(a) == hash(b)
+        assert (a == object()) is False
 
     def test_inequality_across_frames(self):
         f1, f2 = Frame(["a", "b"]), Frame(["a", "b"])

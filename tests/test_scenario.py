@@ -10,7 +10,9 @@ from hypothesis import example, given, strategies as st
 
 from dsfusion import (
     ConditionOutOfRangeError,
+    DocumentError,
     Frame,
+    FusionError,
     MassFunction,
     Motion,
     Prediction,
@@ -165,6 +167,7 @@ class TestScenarioValidation:
         assert self.make() == self.make()
         other = self.make(bpa=[(0.6,)])
         assert self.make() != other
+        assert (self.make() == object()) is False
 
 
 class TestBuiltinTakraw:
@@ -204,6 +207,11 @@ class TestBuiltinTakraw:
 
     def test_fresh_scenarios_compare_equal(self, takraw):
         assert builtin_takraw_scenario() == takraw
+
+    def test_repr(self, takraw):
+        assert repr(takraw) == (
+            "Scenario(10 motions, 9 conditions, frame Frame('F', 'L', 'R', 'B'))"
+        )
 
 
 class TestEvidenceFor:
@@ -302,8 +310,10 @@ class TestSelectWinner:
         assert select_winner(m) == flrb.subset(["F"])
 
     def test_vacuous_has_no_winner(self, flrb):
-        with pytest.raises(ValidationError):
+        # a fusion outcome, not a document: no DocumentError
+        with pytest.raises(FusionError) as raised:
             select_winner(MassFunction.vacuous(flrb))
+        assert not isinstance(raised.value, DocumentError)
 
     def test_mass_tie_broken_by_belief(self, flrb):
         m = MassFunction(
@@ -388,8 +398,8 @@ def test_select_winner_matches_reference(weights):
     )
     try:
         expected = reference_winner(m)
-    except ValidationError as exc:
-        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+    except FusionError as exc:
+        with pytest.raises(FusionError, match=re.escape(str(exc))):
             select_winner(m)
         return
     assert select_winner(m) == expected

@@ -6,11 +6,6 @@ tuples: as cheap to define as a plain class, and read-only like the frozen
 dataclasses they replaced.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from dsfusion import (
@@ -26,7 +21,7 @@ from dsfusion import (
 )
 from dsfusion.render import RunReport
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import fresh_interpreter
 
 # dataclasses (with inspect, ast, dis), the modules only one path uses (the
 # scenario digest and CSV output), and what dsfusion does not use: logging,
@@ -38,17 +33,6 @@ DEFERRED = (
 )
 
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    # -S: site would preload modules of its own and hide what dsfusion loads.
-    return subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-
-
 def test_cli_import_loads_no_deferred_module():
     code = (
         "import sys\n"
@@ -56,7 +40,7 @@ def test_cli_import_loads_no_deferred_module():
         "import dsfusion.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
-    loaded = set(_fresh_interpreter(code).stdout.split())
+    loaded = set(fresh_interpreter(code).stdout.split())
     assert "dsfusion.cli" in loaded
     assert sorted(loaded.intersection(DEFERRED)) == []
 
@@ -70,7 +54,7 @@ def test_fuse_json_does_not_load_hashlib():
         "code = main(argv)\n"
         "print(code, 'hashlib' in sys.modules, file=sys.stderr)\n"
     )
-    assert _fresh_interpreter(code).stderr.split() == ["0", "False"]
+    assert fresh_interpreter(code).stderr.split() == ["0", "False"]
 
 
 def test_table_trace_and_oracle_load_no_number_tower():
@@ -84,7 +68,7 @@ def test_table_trace_and_oracle_load_no_number_tower():
         "towers = ('decimal', 'numbers', 'fractions')\n"
         "print(code, *sorted(set(towers).intersection(sys.modules)), file=sys.stderr)\n"
     )
-    assert _fresh_interpreter(code).stderr.split() == ["0"]
+    assert fresh_interpreter(code).stderr.split() == ["0"]
 
 
 def _records():

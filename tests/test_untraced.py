@@ -29,7 +29,7 @@ from dsfusion import (
     scenario_digest,
 )
 from dsfusion.cli import main
-from dsfusion.render import RunReport, fuse_csv, fuse_text, sweep_csv, sweep_json, sweep_text
+from dsfusion.render import RunReport, fuse_text, sweep_csv, sweep_json, sweep_text
 
 # Weight 1.0 on disjoint focals is a total conflict and 0.99x is a near one,
 # so both are drawn often alongside ordinary weights.
@@ -123,7 +123,7 @@ def test_cli_stdout_matches_traced_path(scenario):
             assert cli_stdout("fuse", "--scenario", path, "--condition",
                               str(condition)) == (0, fuse_text(run, 4, False))
             assert cli_stdout("fuse", "--scenario", path, "--condition", str(condition),
-                              "--format", "csv") == (0, fuse_csv(run))
+                              "--format", "csv") == (0, sweep_csv([result]))
 
 
 def test_total_conflict_step_and_k_agree():
