@@ -153,7 +153,14 @@ def emit_scenario(scenario: Scenario) -> str:
 
 def scenario_digest(scenario: Scenario) -> str:
     """Short content hash of the canonical document text."""
-    # Imported here so that CLI start-up does not pay for it.
-    import hashlib
-
-    return hashlib.sha256(emit_scenario(scenario).encode("utf-8")).hexdigest()[:12]
+    # Imported here so that CLI start-up does not pay for it.  The
+    # interpreter's built-in SHA-256 (_sha256 up to 3.11, _sha2 from 3.12)
+    # gives hashlib's digest without loading OpenSSL, several ms per start.
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(emit_scenario(scenario).encode("utf-8")).hexdigest()[:12]

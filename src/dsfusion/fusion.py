@@ -12,8 +12,8 @@ survives: dividing by a vanishing 1 - k amplifies noise beyond any meaningful
 precision, and k = 1 exactly means the cores are disjoint.  A product that underflows to exactly
 0.0 is dropped, so every stored mass stays strictly positive.
 
-Every fold route shares one cross-product loop, ``_cross``, so they agree bit
-for bit by construction:
+The float fold routes share one cross-product loop, ``_cross``, or replay
+its operations in its order, so they agree bit for bit:
 
 * :func:`combine` pools two evidences; :func:`fuse_all` folds a sequence
   left to right, recording each step's normalized result and conflict, and
@@ -22,6 +22,10 @@ for bit by construction:
   a :class:`CombinationTrace`, which enumerates its cells (a hand-worked
   combination table) from its two inputs only when read, in the same pair
   order and with the same products m1(B) * m2(C) the loop sums;
+* ``_fold_rows`` folds many rows of simple supports on the same focals (a
+  scenario's conditions, for ``sweep``): it derives each step's focal
+  structure once and replays, per row, the float operations of ``_cross``
+  and ``_normalize`` in their order;
 * :func:`oracle_fuse_all` is an independent exact check with its own loop:
   it folds un-normalized integer products source by source and normalizes
   once at the end.  The tests hold it equal to an n-way enumeration of focal
@@ -34,11 +38,13 @@ within its own.  Its sums stay bit for bit those of the plain double loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
+    EvidenceError,
     ExplosionGuardError,
     TotalConflictError,
 )
@@ -251,6 +257,110 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
         results.append(acc)
         ks.append(k)
     return FusionReport(sources, tuple(results), tuple(ks))
+
+
+def _fold_rows(
+    rows: Sequence[Sequence[MassFunction]],
+) -> list[tuple[MassFunction, tuple[float, ...]] | EvidenceError]:
+    """:func:`fuse_all` of every row, with each step's focal structure derived once.
+
+    ``rows`` are sequences of simple supports, all of one length, whose
+    source i has the same focal C in every row; only the weights differ.
+    Returns, per row, its final mass function and per-step k, or the
+    :class:`EvidenceError` that refused it.
+
+    Which focal B lies within C, which B adds its product to which
+    intersection, and which B is disjoint from C depend on the focals alone.
+    So each step is derived once, on the structure that every row would
+    have with a Θ in each source, and each row replays only the float
+    operations of :func:`_cross` and :func:`_normalize`, in their order: an
+    own row (B within C) is x*w + x*r, an intersection adds x*w onto its
+    slot in row order (a new slot from 0.0, and 0.0 + p == p), k adds x*w
+    in row order from 0.0, and the kept weight is one sum in mask order.
+    A focal that a row lacks (a source of weight 1.0 has no Θ; a product
+    may underflow) is carried as 0.0: x*1.0 + x*0.0 == x, and adding 0.0
+    changes no sum, compensated or not.  Zeros are dropped from the final
+    mass function, so every output is bit for bit that of :func:`fuse_all`.
+
+    The shared structure holds every row's focals, so while it stays
+    within ``FOLD_CELL_CAP`` so does every row.  At the first step where it
+    would not, each row still folding is held to the cap on its own focal
+    count, and any row still under the cap (only zeros can keep it there)
+    is folded by :func:`fuse_all` instead.
+    """
+    frame = rows[0][0].frame
+    full = frame._full_mask
+    # A simple support's proper focal is its lowest mask.
+    focals = [next(iter(m._masses)) for m in rows[0]]
+    masks = [focals[0], full]
+    values = [[row[0]._masses[focals[0]], row[0]._masses.get(full, 0.0)] for row in rows]
+    ks: list[list[float]] = [[] for _ in rows]
+    out: list = [None] * len(rows)
+    live = list(range(len(rows)))
+    for step, c in enumerate(focals[1:], start=1):
+        if 2 * len(masks) > FOLD_CELL_CAP:
+            for r in live:
+                x = values[r]
+                try:
+                    _check_cap(step, (len(x) - x.count(0.0)) * len(rows[r][step]._masses))
+                    report = fuse_all(rows[r])
+                except EvidenceError as exc:
+                    out[r] = exc
+                else:
+                    out[r] = report.final, report.per_step_conflict
+            live = []
+            break
+        # Slot mask -> (first row, kind): 0 starts at the row's x*r, 1 (an
+        # own row, B within C) at x*w + x*r, 2 (a new slot) at the row's x*w.
+        plan: dict[int, tuple[int, int]] = {}
+        new, adds, disjoint = [], [], []
+        for i, b in enumerate(masks):
+            inter = b & c
+            if inter == b:
+                plan[b] = i, 1
+                continue
+            plan[b] = i, 0
+            if not inter:
+                disjoint.append(i)
+            elif inter in plan:  # an earlier row's mask, or a new slot
+                adds.append((inter, i))
+            else:
+                plan[inter] = i, 2
+                new.append(inter)
+        if new:
+            masks = sorted(masks + new)
+        order = [plan[mask] for mask in masks]
+        adds = [(bisect_left(masks, mask), i) for mask, i in adds]
+        still = []
+        for r in live:
+            source = rows[r][step]._masses
+            w, rest = source[c], source.get(full, 0.0)
+            x = values[r]
+            y = [
+                x[i] * rest if kind == 0 else x[i] * w + x[i] * rest if kind == 1 else x[i] * w
+                for i, kind in order
+            ]
+            for j, i in adds:
+                y[j] += x[i] * w
+            k = 0.0
+            for i in disjoint:
+                k += x[i] * w
+            kept = sum(y)
+            if k >= 1.0 - CONFLICT_EPSILON or not kept:
+                out[r] = TotalConflictError(k, step=step)
+                continue
+            if k != 0.0 or abs(kept - 1.0) > SUM_TOLERANCE:
+                y = [v / kept for v in y]
+            values[r] = y
+            ks[r].append(k)
+            still.append(r)
+        live = still
+        if not live:
+            break
+    for r in live:
+        final = {mask: v for mask, v in zip(masks, values[r]) if v}
+        out[r] = MassFunction._from_mask_dict(frame, final), tuple(ks[r])
+    return out
 
 
 def fold(sources: Sequence[MassFunction]) -> MassFunction:

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .frame import Frame, Subset, _encodable
-from .fusion import FusionReport, fuse_all
+from .fusion import FusionReport, _fold_rows, fuse_all
 from .mass import MassFunction
 
 
@@ -237,9 +237,9 @@ def select_winner(final: MassFunction) -> Subset:
     return max(tied, key=lambda s: (final.belief(s), -s.mask))
 
 
-def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
-    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
-    final = report.final
+def _prediction(
+    condition: int, final: MassFunction, steps_conflict: tuple[float, ...]
+) -> Prediction:
     winner = select_winner(final)
     return Prediction(
         condition=condition,
@@ -248,8 +248,13 @@ def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
         winner_mass=final.mass(winner),
         winner_belief=final.belief(winner),
         winner_plausibility=final.plausibility(winner),
-        steps_conflict=report.per_step_conflict,
+        steps_conflict=steps_conflict,
     )
+
+
+def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
+    """Summarize a finished fold: winner plus its mass, belief, plausibility."""
+    return _prediction(condition, report.final, report.per_step_conflict)
 
 
 def predict(scenario: Scenario, condition: int) -> Prediction:
@@ -263,11 +268,22 @@ def fusion_report(scenario: Scenario, condition: int) -> FusionReport:
 
 
 def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
-    """Predict every condition in order; failures are collected, not raised."""
+    """Predict every condition in order; failures are collected, not raised.
+
+    Each result is the one :func:`predict` gives for its condition, bit for
+    bit, but the conditions are folded together: every condition weights the
+    same motions, so which focal elements meet at each step is derived once,
+    and each condition replays only its own products, row-order sums,
+    mask-order kept weight and division, in ``fuse_all``'s order.  A weight
+    of 1.0 (no Θ) or an underflowed product is carried as 0.0, which changes
+    no sum (see ``fusion._fold_rows``).
+    """
     results: list[Prediction | SweepFailure] = []
-    for condition in range(1, scenario.condition_count + 1):
+    for condition, folded in enumerate(_fold_rows(scenario._evidence), start=1):
         try:
-            results.append(predict(scenario, condition))
+            if isinstance(folded, EvidenceError):
+                raise folded
+            results.append(_prediction(condition, *folded))
         except EvidenceError as exc:
             # The traceback would pin every frame of the failed fold (and
             # this one, a cycle) for as long as the results are held.

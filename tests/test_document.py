@@ -3,8 +3,10 @@ writer behind every JSON text dsfusion prints."""
 
 import ast
 import contextlib
+import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,6 +250,22 @@ class TestDigest:
             emit_scenario(takraw).replace("0.75", "0.76", 1)
         )
         assert scenario_digest(reparsed) != scenario_digest(takraw)
+
+    # The built-in SHA-256 module of each interpreter, and hashlib, which
+    # serves when neither imports (a None entry in sys.modules fails import).
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+    def test_matches_hashlib_sha256(self, monkeypatch, builtin):
+        if not builtin:
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+        pinned = [
+            (builtin_takraw_scenario(), "c31f5586f62e"),
+            (random_scenario(random.Random(7)), "f35a2372f18c"),
+        ]
+        for scenario, digest in pinned:
+            text = emit_scenario(scenario).encode("utf-8")
+            assert scenario_digest(scenario) == digest
+            assert hashlib.sha256(text).hexdigest()[:12] == digest
 
 
 @st.composite

@@ -57,6 +57,17 @@ def test_fuse_json_does_not_load_hashlib():
     assert fresh_interpreter(code).stderr.split() == ["0", "False"]
 
 
+def test_table_sweep_does_not_load_openssl():
+    # The digest uses the interpreter's built-in SHA-256, not hashlib's _hashlib.
+    code = (
+        "import sys\n"
+        "from dsfusion.cli import main\n"
+        "code = main(['sweep', '--builtin', 'takraw'])\n"
+        "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n"
+    )
+    assert fresh_interpreter(code).stderr.split() == ["0", "False"]
+
+
 def test_table_trace_and_oracle_load_no_number_tower():
     # format_mass and oracle_fuse_all read a float's printed decimal as ints.
     code = (
