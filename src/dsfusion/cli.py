@@ -13,6 +13,7 @@ or nothing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -97,6 +98,13 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_CONFLICT if isinstance(exc, TotalConflictError) else EXIT_VALIDATION
 
 
+def _write(output: str) -> None:
+    """The report to stdout, which is None if the process started with it closed."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    sys.stdout.write(output)
+
+
 def _load_scenario(args: argparse.Namespace) -> tuple[str, Scenario]:
     if args.builtin is not None:
         return f"builtin:{args.builtin}", builtin_takraw_scenario()
@@ -126,7 +134,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         output = sweep_csv([run.prediction])
     else:
         output = fuse_text(run, args.precision, args.trace)
-    sys.stdout.write(output)
+    _write(output)
     return EXIT_OK
 
 
@@ -139,7 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output = sweep_csv(results)
     else:
         output = sweep_text(name, scenario_digest(scenario), results)
-    sys.stdout.write(output)
+    _write(output)
     code = EXIT_OK
     for result in results:
         if isinstance(result, SweepFailure):
@@ -186,7 +194,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # A buffered stdout may still hold the report.  Flushed at interpreter
+    # exit, a failure would print a traceback-like notice and exit 120.
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != EXIT_USAGE:  # else main has reported a failed write
+                print(f"error: {exc}", file=sys.stderr)
+                code = EXIT_USAGE
+            # The report is lost; let the flush at exit write it to nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Layout::
 
 Every source carries one weight per condition; the condition count is the
 (shared) length of the ``bpa`` arrays.  The sources go, in this per-source
-layout, to the one builder that ``builtin_takraw_scenario`` shares.
+layout, to the one builder that ``builtin_takraw_scenario`` shares, which
+keeps the weights as floats and builds no mass function.
 Malformed JSON raises :class:`ParseError` and a wrong shape (a missing or
 repeated key, a value of the wrong type) raises :class:`SchemaError`.
 Well-formed but invalid content (weights outside (0, 1], unknown labels,
@@ -34,6 +35,7 @@ from .scenario import Scenario, _from_sources
 
 _TOP_KEYS = {"frame", "sources"}
 _SOURCE_KEYS = {"name", "focal", "bpa"}
+_NUMBER_TYPES = {int, float}
 
 
 def _string_list(value: object, where: str) -> list[str]:
@@ -100,9 +102,8 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(source["name"], str):
             raise SchemaError(f'{where}["name"] must be a string')
         bpa = source["bpa"]
-        if not isinstance(bpa, list) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in bpa
-        ):
+        # json decodes numbers as ints and floats only (true is a bool)
+        if not isinstance(bpa, list) or not {*map(type, bpa)} <= _NUMBER_TYPES:
             raise SchemaError(f'{where}["bpa"] must be an array of numbers')
         focal = _string_list(source["focal"], f'{where}["focal"]')
         rows.append((source["name"], focal, bpa))

@@ -22,10 +22,10 @@ its operations in its order, so they agree bit for bit:
   a :class:`CombinationTrace`, which enumerates its cells (a hand-worked
   combination table) from its two inputs only when read, in the same pair
   order and with the same products m1(B) * m2(C) the loop sums;
-* ``_fold_rows`` folds many rows of simple supports on the same focals (a
-  scenario's conditions, for ``sweep``): it derives each step's focal
-  structure once and replays, per row, the float operations of ``_cross``
-  and ``_normalize`` in their order;
+* ``_fold_rows`` folds many rows of simple-support weights on the same
+  focals (a scenario's conditions, for ``sweep``) without building the
+  supports: it derives each step's focal structure once and replays, per
+  row, the float operations of ``_cross`` and ``_normalize`` in their order;
 * :func:`oracle_fuse_all` is an independent exact check with its own loop:
   it folds un-normalized integer products source by source and normalizes
   once at the end.  The tests hold it equal to an n-way enumeration of focal
@@ -260,12 +260,16 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
 
 
 def _fold_rows(
-    rows: Sequence[Sequence[MassFunction]],
+    frame: Frame,
+    focals: Sequence[int],
+    weights: Sequence[Sequence[float]],
 ) -> list[tuple[MassFunction, tuple[float, ...]] | EvidenceError]:
-    """:func:`fuse_all` of every row, with each step's focal structure derived once.
+    """:func:`fuse_all` of each row's simple supports, each step's focal
+    structure derived once.
 
-    ``rows`` are sequences of simple supports, all of one length, whose
-    source i has the same focal C in every row; only the weights differ.
+    Source i of a row is the simple support on focal mask ``focals[i]`` with
+    the row's weight i, a float in (0, 1], read as the w and 1.0 - w that
+    :meth:`MassFunction.simple_support` stores, so no support is built.
     Returns, per row, its final mass function and per-step k, or the
     :class:`EvidenceError` that refused it.
 
@@ -286,24 +290,24 @@ def _fold_rows(
     within ``FOLD_CELL_CAP`` so does every row.  At the first step where it
     would not, each row still folding is held to the cap on its own focal
     count, and any row still under the cap (only zeros can keep it there)
-    is folded by :func:`fuse_all` instead.
+    is folded by :func:`fuse_all` instead, on supports built for it.
     """
-    frame = rows[0][0].frame
     full = frame._full_mask
-    # A simple support's proper focal is its lowest mask.
-    focals = [next(iter(m._masses)) for m in rows[0]]
     masks = [focals[0], full]
-    values = [[row[0]._masses[focals[0]], row[0]._masses.get(full, 0.0)] for row in rows]
-    ks: list[list[float]] = [[] for _ in rows]
-    out: list = [None] * len(rows)
-    live = list(range(len(rows)))
+    values = [[row[0], 1.0 - row[0]] for row in weights]
+    ks: list[list[float]] = [[] for _ in weights]
+    out: list = [None] * len(weights)
+    live = list(range(len(weights)))
     for step, c in enumerate(focals[1:], start=1):
         if 2 * len(masks) > FOLD_CELL_CAP:
             for r in live:
-                x = values[r]
+                x, row = values[r], weights[r]
                 try:
-                    _check_cap(step, (len(x) - x.count(0.0)) * len(rows[r][step]._masses))
-                    report = fuse_all(rows[r])
+                    _check_cap(step, (len(x) - x.count(0.0)) * (1 if row[step] == 1.0 else 2))
+                    report = fuse_all([
+                        MassFunction.simple_support(frame.subset_from_mask(f), w)
+                        for f, w in zip(focals, row)
+                    ])
                 except EvidenceError as exc:
                     out[r] = exc
                 else:
@@ -333,8 +337,8 @@ def _fold_rows(
         adds = [(bisect_left(masks, mask), i) for mask, i in adds]
         still = []
         for r in live:
-            source = rows[r][step]._masses
-            w, rest = source[c], source.get(full, 0.0)
+            w = weights[r][step]
+            rest = 1.0 - w
             x = values[r]
             y = [
                 x[i] * rest if kind == 0 else x[i] * w + x[i] * rest if kind == 1 else x[i] * w

@@ -37,6 +37,30 @@ def _as_float(value: object, error: type[EvidenceError], what: str) -> float:
     raise error(f"{what} {value!r} is not a number")
 
 
+def _checked_support(focal: Subset, weight: object) -> tuple[int, float]:
+    """A simple support's focal mask and float weight, checked in this order:
+    a non-empty proper focal, then a weight in (0, 1]."""
+    mask = focal.mask
+    if not mask:
+        raise MassError("a simple support needs a non-empty focal set")
+    if mask == focal.frame._full_mask:
+        raise MassError(
+            "a simple support's focal set must be a proper subset of the frame"
+        )
+    weight = _as_float(weight, WeightOutOfRangeError, "weight")
+    if not 0.0 < weight <= 1.0:
+        raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
+    return mask, weight
+
+
+def _plain_weights(weights: tuple) -> bool:
+    """Whether every weight is a float in (0, 1] already, in C-level passes:
+    a NaN can hide from ``min`` and ``max``, not from the sum."""
+    if {*map(type, weights)} != {float}:
+        return False
+    return 0.0 < min(weights) and max(weights) <= 1.0 and math.isfinite(sum(weights))
+
+
 def _shortest_decimal(value: float) -> tuple[int, int]:
     """The decimal ``repr(value)`` prints, read exactly as n * 10**e: (n, e)."""
     digits, _, exponent = repr(value).partition("e")
@@ -95,16 +119,8 @@ class MassFunction:
         This is the shape every motion evidence takes: support ``weight`` for
         ``focal`` and residual ignorance ``1 - weight``.
         """
-        frame, mask = focal.frame, focal.mask
-        if not mask:
-            raise MassError("a simple support needs a non-empty focal set")
-        if mask == frame._full_mask:
-            raise MassError(
-                "a simple support's focal set must be a proper subset of the frame"
-            )
-        weight = _as_float(weight, WeightOutOfRangeError, "weight")
-        if not 0.0 < weight <= 1.0:
-            raise WeightOutOfRangeError(f"weight {weight!r} outside (0, 1]")
+        frame = focal.frame
+        mask, weight = _checked_support(focal, weight)
         rest = 1.0 - weight
         m = object.__new__(cls)
         m._frame, m._masses = frame, {mask: weight}

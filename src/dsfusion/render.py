@@ -48,9 +48,15 @@ def winner_label(subset: Subset) -> str:
     return key
 
 
-def mass_map(m: MassFunction) -> dict[str, float]:
-    """Focal elements as an ordered {set-key: mass} mapping."""
-    return {"+".join(m._frame._labels_of(mask)): v for mask, v in m.mask_items()}
+def mass_map(m: MassFunction, keys: dict[int, str] | None = None) -> dict[str, float]:
+    """Focal elements as an ordered {set-key: mass} mapping; ``keys`` keeps
+    each mask's key across calls on one frame."""
+    if keys is None:
+        keys = {}
+    labels_of = m._frame._labels_of
+    for mask in m._masses.keys() - keys.keys():
+        keys[mask] = "+".join(labels_of(mask))
+    return {keys[mask]: v for mask, v in m._masses.items()}
 
 
 class RunReport(NamedTuple):
@@ -225,13 +231,15 @@ def sweep_text(
 
 
 def sweep_json(results: list[Prediction | SweepFailure]) -> str:
+    # Every condition folds onto the same focal masks: one key per mask.
+    keys: dict[int, str] = {}
     entries: list[dict] = []
     for r in results:
         if isinstance(r, Prediction):
             entries.append(
                 {
                     "condition": r.condition,
-                    "final": mass_map(r.final),
+                    "final": mass_map(r.final, keys),
                     "winner": _winner_json(r),
                 }
             )

@@ -3,8 +3,8 @@
 A :class:`Scenario` bundles a frame of directions, an ordered list of motion
 evidence sources (each supporting one subset of directions), and a weight
 matrix: one row per condition, one weight per motion.  Predicting a condition
-turns every motion into a simple support function, folds them with Dempster's
-rule, and picks the direction subset with the highest combined mass.
+folds each motion's simple support function (its direction, weighted) with
+Dempster's rule and picks the direction subset with the highest combined mass.
 
 The built-in ``takraw`` scenario models the start kick of a sepak-takraw
 bicycle kick: four directions (F front, L left, R right, B back), ten body
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .frame import Frame, Subset, _encodable
 from .fusion import FusionReport, _fold_rows, fuse_all
-from .mass import MassFunction
+from .mass import MassFunction, _checked_support, _plain_weights
 
 
 class Motion(NamedTuple):
@@ -42,9 +42,10 @@ class Motion(NamedTuple):
 
 
 class Scenario:
-    """Motions plus a [condition][motion] weight matrix over one frame."""
+    """Motions plus a [condition][motion] weight matrix over one frame, kept
+    as floats; :func:`evidence_for` builds a condition's simple supports."""
 
-    __slots__ = ("_frame", "_motions", "_evidence")
+    __slots__ = ("_frame", "_motions", "_weights", "_supports")
 
     def __init__(
         self,
@@ -70,8 +71,9 @@ class Scenario:
             if motion.name in names:
                 raise ValidationError(f"duplicate motion name {motion.name!r}")
             names.add(motion.name)
-        # simple_support owns the rules: a proper non-empty focal, a weight in (0, 1].
-        evidence = []
+        # Each cell is checked as simple_support checks it; once the first row
+        # has passed every focal, a row of floats in (0, 1] is kept as is.
+        weights = []
         try:
             rows = tuple(bpa)
         except TypeError as exc:
@@ -85,20 +87,23 @@ class Scenario:
                 raise ValidationError(
                     f"condition {c} has {len(row)} weights for {len(motions)} motions"
                 )
-            supports = []
-            for motion, w in zip(motions, row):
-                try:
-                    supports.append(MassFunction.simple_support(motion.direction, w))
-                except MassError as exc:
-                    raise ValidationError(
-                        f"motion {motion.name!r} in condition {c}: {exc}"
-                    ) from exc
-            evidence.append(tuple(supports))
-        if not evidence:
+            if not (weights and _plain_weights(row)):
+                checked = []
+                for motion, w in zip(motions, row):
+                    try:
+                        checked.append(_checked_support(motion.direction, w)[1])
+                    except MassError as exc:
+                        raise ValidationError(
+                            f"motion {motion.name!r} in condition {c}: {exc}"
+                        ) from exc
+                row = tuple(checked)
+            weights.append(row)
+        if not weights:
             raise ValidationError("a scenario needs at least one condition")
         self._frame = frame
         self._motions = tuple(motions)
-        self._evidence = tuple(evidence)
+        self._weights = tuple(weights)
+        self._supports: list[tuple[MassFunction, ...] | None] = [None] * len(weights)
 
     @property
     def frame(self) -> Frame:
@@ -111,15 +116,11 @@ class Scenario:
     @property
     def bpa(self) -> tuple[tuple[float, ...], ...]:
         """Weights indexed [condition][motion], conditions in order."""
-        # A simple support's mass on its focal is the converted weight exactly.
-        return tuple([
-            tuple([m._masses[mo.direction.mask] for mo, m in zip(self._motions, row)])
-            for row in self._evidence
-        ])
+        return self._weights
 
     @property
     def condition_count(self) -> int:
-        return len(self._evidence)
+        return len(self._weights)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same labels, motions and weights.
@@ -205,13 +206,20 @@ def builtin_takraw_scenario() -> Scenario:
 
 
 def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
-    """The simple supports ``Scenario(...)`` built for a 1-based condition, in
-    motion order (shared, since a :class:`MassFunction` cannot be changed)."""
+    """The simple supports of a 1-based condition, in motion order, built on
+    its first use and kept (shared, since a :class:`MassFunction` cannot be
+    changed); :func:`sweep` folds the weights and builds none."""
     if type(condition) is not int or not 1 <= condition <= scenario.condition_count:
         raise ConditionOutOfRangeError(
             f"condition {condition!r} outside 1..{scenario.condition_count}"
         )
-    return list(scenario._evidence[condition - 1])
+    supports = scenario._supports[condition - 1]
+    if supports is None:
+        supports = scenario._supports[condition - 1] = tuple([
+            MassFunction.simple_support(motion.direction, w)
+            for motion, w in zip(scenario._motions, scenario._weights[condition - 1])
+        ])
+    return list(supports)
 
 
 def select_winner(final: MassFunction) -> Subset:
@@ -271,15 +279,17 @@ def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
     """Predict every condition in order; failures are collected, not raised.
 
     Each result is the one :func:`predict` gives for its condition, bit for
-    bit, but the conditions are folded together: every condition weights the
-    same motions, so which focal elements meet at each step is derived once,
-    and each condition replays only its own products, row-order sums,
-    mask-order kept weight and division, in ``fuse_all``'s order.  A weight
-    of 1.0 (no Θ) or an underflowed product is carried as 0.0, which changes
-    no sum (see ``fusion._fold_rows``).
+    bit, but the conditions are folded together, from the weights alone:
+    every condition weights the same motions, so which focal elements meet
+    at each step is derived once, and each condition replays only its own
+    products, row-order sums, mask-order kept weight and division, in
+    ``fuse_all``'s order.  A weight of 1.0 (no Θ) or an underflowed product
+    is carried as 0.0, which changes no sum (see ``fusion._fold_rows``).
     """
     results: list[Prediction | SweepFailure] = []
-    for condition, folded in enumerate(_fold_rows(scenario._evidence), start=1):
+    focals = [motion.direction.mask for motion in scenario._motions]
+    folds = _fold_rows(scenario._frame, focals, scenario._weights)
+    for condition, folded in enumerate(folds, start=1):
         try:
             if isinstance(folded, EvidenceError):
                 raise folded

@@ -656,6 +656,44 @@ class TestOutputLimits:
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
 
 
+def buffered_child(argv, **kwargs):
+    """``python -m dsfusion.cli`` with Python's default buffered stdout, where
+    the report can still wait in the buffer when ``main`` returns."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "dsfusion.cli", *argv],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
+
+
+class TestUnwritableStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--builtin", "takraw"], ["--help"],
+         ["fuse", "--builtin", "takraw", "--condition", "9", "--format", "json"]],
+        ids=" ".join,
+    )
+    def test_pipe_without_reader_exits_1(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = buffered_child(argv, stdout=write)
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_exits_1(self):
+        result = buffered_child(
+            ["sweep", "--builtin", "takraw"], preexec_fn=lambda: os.close(1)
+        )
+        assert (result.returncode, result.stderr) == (1, "error: stdout is closed\n")
+
+
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

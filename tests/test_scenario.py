@@ -1,18 +1,20 @@
 """The takraw prediction model: builtin data, winners, sweeps, tie rules."""
 
+import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsfusion import (
     ConditionOutOfRangeError,
     DocumentError,
     Frame,
     FusionError,
+    MassError,
     MassFunction,
     Motion,
     Prediction,
@@ -239,7 +241,6 @@ class TestEvidenceFor:
             predict(takraw, condition)
 
     def test_built_once_per_scenario(self, monkeypatch):
-        takraw = builtin_takraw_scenario()
         calls = []
         simple_support = MassFunction.simple_support
 
@@ -248,9 +249,27 @@ class TestEvidenceFor:
             return simple_support(focal, weight)
 
         monkeypatch.setattr(MassFunction, "simple_support", counting_simple_support)
-        assert evidence_for(takraw, 2) == evidence_for(takraw, 2)
-        predict(takraw, 1)
+        takraw = builtin_takraw_scenario()
         sweep(takraw)
+        assert calls == []
+        assert evidence_for(takraw, 2) == evidence_for(takraw, 2)
+        assert len(calls) == len(takraw.motions)
+        predict(takraw, 1)
+        calls.clear()
+        predict(takraw, 1)
+        assert calls == []
+
+    def test_parse_and_sweep_build_no_support(self, monkeypatch):
+        text = emit_scenario(builtin_takraw_scenario())
+        calls = []
+        simple_support = MassFunction.simple_support
+
+        def counting_simple_support(focal, weight):
+            calls.append(1)
+            return simple_support(focal, weight)
+
+        monkeypatch.setattr(MassFunction, "simple_support", counting_simple_support)
+        sweep(parse_scenario(text))
         assert calls == []
 
 
@@ -290,6 +309,69 @@ class TestScenarioBuild:
                     entries[frame.full] = 1 - float(w)
                 # the validating constructor, which sorts and re-sums
                 assert support.mask_items() == MassFunction(frame, entries).mask_items()
+
+
+# Weights simple_support refuses (zeros, NaN, infinities, beyond 1, ints beyond
+# the float range, a bool, text, None) beside ones it takes (the smallest
+# subnormal, 1.0, the ints 1 and 0, ...).
+CELL_WEIGHTS = [
+    0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, 1 + 2**-52,
+    1, 2, 10**399, True, "0.5", None,
+]
+
+
+@st.composite
+def cell_parts(draw):
+    """(frame, motions, weight rows) for ``Scenario(...)``, each cell valid or not."""
+    size = draw(st.integers(min_value=2, max_value=4))
+    full = (1 << size) - 1
+    frame = Frame([f"h{i}" for i in range(size)])
+    focal = st.integers(min_value=1, max_value=full - 1) | st.sampled_from([0, full])
+    masks = draw(st.lists(focal, min_size=1, max_size=4))
+    motions = [Motion(f"m{i}", frame.subset_from_mask(m)) for i, m in enumerate(masks)]
+    weight = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from(CELL_WEIGHTS)
+    row = st.lists(weight, min_size=len(motions), max_size=len(motions))
+    return frame, motions, draw(st.lists(row, min_size=1, max_size=3))
+
+
+def _cell_case(weights, *rows):
+    frame = Frame(["a", "b", "c"])
+    motions = [Motion(f"m{i}", frame.subset_from_mask(1 << i)) for i in range(weights)]
+    return frame, motions, [list(row) for row in rows]
+
+
+class TestScenarioCells:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=cell_parts())
+    # A later row of floats whose minimum or maximum hides the bad cell.
+    @example(parts=_cell_case(2, (0.5, 0.5), (0.5, math.nan)))
+    @example(parts=_cell_case(2, (0.5, 0.5), (0.5, 0.0)))
+    @example(parts=_cell_case(2, (0.5, 0.5), (0.5, -0.0)))
+    @example(parts=_cell_case(3, (0.5, 0.5, 0.5), (0.25, math.inf, 0.5)))
+    def test_refuses_exactly_what_simple_support_refuses(self, parts):
+        frame, motions, rows = parts
+        expected = None
+        for c, row in enumerate(rows, start=1):
+            for motion, w in zip(motions, row):
+                try:
+                    MassFunction.simple_support(motion.direction, w)
+                except MassError as exc:
+                    expected = f"motion {motion.name!r} in condition {c}: {exc}"
+                    break
+            if expected is not None:
+                break
+        if expected is not None:
+            with pytest.raises(ValidationError) as raised:
+                Scenario(frame, motions, rows)
+            assert str(raised.value) == expected
+            return
+        s = Scenario(frame, motions, rows)
+        assert s.bpa == tuple(tuple(float(w) for w in row) for row in rows)
+        assert all(type(w) is float for row in s.bpa for w in row)
+        for c, row in enumerate(rows, start=1):
+            assert evidence_for(s, c) == [
+                MassFunction.simple_support(m.direction, w) for m, w in zip(motions, row)
+            ]
 
 
 class TestSelectWinner:
