@@ -25,10 +25,13 @@ a document and ``Scenario(...)`` report the same problem alike.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from json.encoder import encode_basestring
+
+try:  # the C function that json.encoder binds, without importing json
+    from _json import encode_basestring
+except ImportError:
+    from json.encoder import encode_basestring
 
 from .errors import EvidenceError, ParseError, SchemaError, ValidationError
 from .scenario import Scenario, _from_sources
@@ -56,18 +59,24 @@ def _object(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return data
 
 
-# One decoder for every call: json.loads builds a new one for each call given a
-# hook, and those leave blocks behind in a process that parses in a loop.
-_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+# Built by the first parse, which imports json: a --builtin run never decodes.
+# One decoder serves every call: json.loads builds a new one for each call given
+# a hook, and those leave blocks behind in a process that parses in a loop.
+_decoder = None
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
+    global _decoder
+    import json
+
+    if _decoder is None:
+        _decoder = json.JSONDecoder(object_pairs_hook=_object)
     if text.startswith("\ufeff"):  # as json.loads refuses it
         message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
         raise ParseError(message, line=1, column=1)
     try:
-        data = _DECODER.decode(text)
+        data = _decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except RecursionError:

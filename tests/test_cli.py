@@ -694,6 +694,60 @@ class TestUnwritableStdout:
         assert (result.returncode, result.stderr) == (1, "error: stdout is closed\n")
 
 
+class TestUnwritableStderr:
+    """A run exits with the code its outcome earned, whether or not its
+    diagnostic line could be written: an escaped OSError would exit 1, and a
+    failed flush of a buffered stderr at exit would exit 120."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("sink", ["closed", "full", "pipe-without-reader"])
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["fuse", "--builtin", "takraw", "--condition", "99"], 2,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (["sweep", "--scenario", "conflict.json"], 3,
+             "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"),
+        ],
+        ids=["validation", "conflict"],
+    )
+    def test_exit_code_holds(self, tmp_path, argv, code, digest, sink, buffered):
+        (tmp_path / "conflict.json").write_text(CONFLICT_DOC)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+        if buffered:
+            del env["PYTHONUNBUFFERED"]
+        read, write = os.pipe()
+        os.close(read)
+        with open(os.devnull if sink == "closed" else "/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "dsfusion.cli", *argv],
+                cwd=tmp_path,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=write if sink == "pipe-without-reader" else full,
+                preexec_fn=(lambda: os.close(2)) if sink == "closed" else None,
+            )
+        os.close(write)
+        assert result.returncode == code
+        assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+    def test_main_returns_its_code_with_fd_2_closed(self):
+        # closed after start-up, so sys.stderr is a stream on a dead descriptor
+        code = (
+            "import os\n"
+            "from dsfusion.cli import main\n"
+            "os.close(2)\n"
+            "print(main(['fuse', '--builtin', 'takraw', '--condition', '99']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        assert result.stdout == "2\n"
+
+
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

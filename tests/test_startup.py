@@ -16,20 +16,24 @@ from dsfusion import (
     Prediction,
     SweepFailure,
     builtin_takraw_scenario,
+    emit_scenario,
     fusion_report,
     predict,
 )
 from dsfusion.render import RunReport
 
 from helpers import fresh_interpreter
+from test_argv import ONESHOT
+from test_cli import GOLDEN_HELP
 
 # dataclasses (with inspect, ast, dis), the modules only one path uses (the
-# scenario digest and CSV output), and what dsfusion does not use: logging,
-# which costs several ms to import, and the decimal and rational number
-# towers, whose one idea here (a float's printed decimal) is integer arithmetic.
+# scenario digest and CSV output, argparse for help and usage errors, json for
+# a scenario document), and what dsfusion does not use: logging, which costs
+# several ms to import, and the decimal and rational number towers, whose one
+# idea here (a float's printed decimal) is integer arithmetic.
 DEFERRED = (
     "dataclasses", "inspect", "hashlib", "csv", "logging",
-    "decimal", "numbers", "fractions",
+    "decimal", "numbers", "fractions", "argparse", "json",
 )
 
 
@@ -66,6 +70,36 @@ def test_table_sweep_does_not_load_openssl():
         "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n"
     )
     assert fresh_interpreter(code).stderr.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", ONESHOT, ids=" ".join)
+def test_well_formed_command_loads_no_argparse(tmp_path, argv):
+    # One fresh interpreter per command line: the benchmark's cli_oneshot shapes.
+    # Only a --scenario run decodes a document, so only it loads json.
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    (tmp_path / "doc.json").write_text(emit_scenario(builtin_takraw_scenario()))
+    code = (
+        "import sys\n"
+        "from dsfusion.cli import main\n"
+        f"code = main({argv!r})\n"
+        "names = ('argparse', 'gettext', 'locale', 'json')\n"
+        "print(code, *sorted(set(names).intersection(sys.modules)), file=sys.stderr)\n"
+    )
+    decoded = ["json"] if "--scenario" in argv else []
+    assert fresh_interpreter(code).stderr.split() == ["0", *decoded]
+
+
+def test_help_loads_argparse():
+    code = (
+        "import contextlib, hashlib, io, os, sys\n"
+        "os.environ['COLUMNS'] = '80'\n"
+        "from dsfusion.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['--help'])\n"
+        "digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "print(code, 'argparse' in sys.modules, digest, file=sys.stderr)\n"
+    )
+    assert fresh_interpreter(code).stderr.split() == ["0", "True", dict(GOLDEN_HELP)["--help"]]
 
 
 def test_table_trace_and_oracle_load_no_number_tower():
