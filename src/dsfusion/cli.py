@@ -12,6 +12,7 @@ or nothing.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from collections.abc import Sequence
@@ -263,11 +264,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         if _parser is None:
             _parser = build_parser()
+        stderr = sys.stderr  # None with fd 2 closed: argparse's usage would go to stdout
+        sys.stderr = stderr or io.StringIO()
         try:
             args = _parser.parse_args(argv)
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage problems
             return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        finally:
+            sys.stderr = stderr
     try:
         return _COMMANDS[args.command](args)
     except (OSError, UnicodeEncodeError, EvidenceError) as exc:

@@ -7,10 +7,9 @@ empty set (the conflict k), and renormalizing the rest by 1 - k:
     m12(A) = sum(m1(B) * m2(C) for B n C = A, A != {}) / (1 - k)
     k      = sum(m1(B) * m2(C) for B n C = {})
 
-Combination is refused once k reaches ``1 - CONFLICT_EPSILON`` or no product
-survives: dividing by a vanishing 1 - k amplifies noise beyond any meaningful
-precision, and k = 1 exactly means the cores are disjoint.  A product that underflows to exactly
-0.0 is dropped, so every stored mass stays strictly positive.
+``_step_divisor`` owns each fold step's rule: when it is refused and what it
+divides by.  A product that underflows to exactly 0.0 is dropped, so every
+stored mass stays strictly positive.
 
 The float fold routes share one cross-product loop, ``_cross``, or replay
 its operations in its order, so they agree bit for bit:
@@ -25,21 +24,17 @@ its operations in its order, so they agree bit for bit:
 * ``_fold_rows`` folds many rows of simple-support weights on the same
   focals (a scenario's conditions, for ``sweep``) without building the
   supports: it derives each step's focal structure once and replays, per
-  row, the float operations of ``_cross`` and ``_normalize`` in their order;
+  row, the float operations of ``_cross`` in their order;
 * :func:`oracle_fuse_all` is an independent exact check with its own loop:
   it folds un-normalized integer products source by source and normalizes
   once at the end.  The tests hold it equal to an n-way enumeration of focal
   tuples, which keeps the rule's associativity a test, not an assumption.
-
-The loop crosses a simple support without an inner loop, and it writes each
-row's own mask without a lookup: masks ascend and a row adds only to masks
-within its own.  Its sums stay bit for bit those of the plain double loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import (
@@ -169,42 +164,48 @@ def _cross(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]
     return acc, k
 
 
-def _normalize(
-    frame: Frame,
-    products: dict[int, float],
-    k: float,
-    step: int | None,
-) -> MassFunction:
-    """Dempster's normalization of one step's cross product.
+def _step_divisor(kept: Iterable[float], k: float) -> float:
+    """One fold step's rule, given its kept products in mask order and its k:
+    0.0 if the step is refused, else what the products are divided by.
 
-    Takes ownership of ``products``: it may become the result's own dict.
-    Products already in ascending mask order are not copied; others are
-    rebuilt in mask order.  One mask-order sum of the kept weight serves both
-    the no-conflict test and the divisor.
-    """
-    if 0.0 in products.values():
-        # A product that underflowed to 0.0 is no focal element.
-        products = {mask: p for mask, p in products.items() if p}
-    # Inputs may sum to 1 only within SUM_TOLERANCE, so k can stay below the
-    # threshold while no product survives; that is a total conflict too.
-    if k >= 1.0 - CONFLICT_EPSILON or not products:
-        raise TotalConflictError(k, step=step)
-    masks = sorted(products)
-    if masks != list(products):
-        products = {mask: products[mask] for mask in masks}
-    kept = sum(products.values())
+    A step is refused once k reaches ``1 - CONFLICT_EPSILON`` (dividing by a
+    vanishing 1 - k amplifies noise beyond any meaningful precision; k = 1
+    means disjoint cores) or nothing is kept, which inputs that sum to 1 only
+    within SUM_TOLERANCE allow below the threshold."""
+    total = sum(kept)  # one sum serves the no-conflict test and the divisor
+    if k >= 1.0 - CONFLICT_EPSILON or not total:
+        return 0.0
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
     # is amplified by the tiny denominator; the complementary sum keeps the
-    # result summing to 1 for every admissible k.  Only with no conflict at
-    # all and a kept weight within SUM_TOLERANCE of 1 is the division
-    # skipped, so the combination stays bit-exact (vacuous stays neutral);
-    # any other input is divided, so every valid input gives a valid result.
-    if k == 0.0 and abs(kept - 1.0) <= SUM_TOLERANCE:
-        return MassFunction._from_mask_dict(frame, products)
-    return MassFunction._from_mask_dict(
-        frame, {mask: p / kept for mask, p in products.items()}
-    )
+    # result summing to 1 for every admissible k.  Only with no conflict and
+    # a kept weight within SUM_TOLERANCE of 1 is 1.0 returned (it divides no
+    # bit), so the step stays bit-exact (vacuous stays neutral); any other
+    # input is divided, so every valid input gives a valid result.
+    if k == 0.0 and abs(total - 1.0) <= SUM_TOLERANCE:
+        return 1.0
+    return total
+
+
+def _normalize(
+    frame: Frame, products: dict[int, float], k: float, step: int | None
+) -> MassFunction:
+    """Dempster's normalization of one step's cross product by :func:`_step_divisor`.
+
+    Takes ownership of ``products``, which may become the result's own dict:
+    products in ascending mask order are not copied, others are rebuilt."""
+    if 0.0 in products.values():
+        # A product that underflowed to 0.0 is no focal element.
+        products = {mask: p for mask, p in products.items() if p}
+    masks = sorted(products)
+    if masks != list(products):
+        products = {mask: products[mask] for mask in masks}
+    divisor = _step_divisor(products.values(), k)
+    if not divisor:
+        raise TotalConflictError(k, step=step)
+    if divisor != 1.0:
+        products = {mask: p / divisor for mask, p in products.items()}
+    return MassFunction._from_mask_dict(frame, products)
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
@@ -260,9 +261,7 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
 
 
 def _fold_rows(
-    frame: Frame,
-    focals: Sequence[int],
-    weights: Sequence[Sequence[float]],
+    frame: Frame, focals: Sequence[int], weights: Sequence[Sequence[float]]
 ) -> list[tuple[MassFunction, tuple[float, ...]] | EvidenceError]:
     """:func:`fuse_all` of each row's simple supports, each step's focal
     structure derived once.
@@ -273,14 +272,13 @@ def _fold_rows(
     Returns, per row, its final mass function and per-step k, or the
     :class:`EvidenceError` that refused it.
 
-    Which focal B lies within C, which B adds its product to which
-    intersection, and which B is disjoint from C depend on the focals alone.
-    So each step is derived once, on the structure that every row would
-    have with a Θ in each source, and each row replays only the float
-    operations of :func:`_cross` and :func:`_normalize`, in their order: an
-    own row (B within C) is x*w + x*r, an intersection adds x*w onto its
-    slot in row order (a new slot from 0.0, and 0.0 + p == p), k adds x*w
-    in row order from 0.0, and the kept weight is one sum in mask order.
+    Which focal B lies within C, meets it or is disjoint from it depends on
+    the focals alone.  So each step is derived once, on the structure that
+    every row would have with a Θ in each source, and each row replays only
+    the float operations of :func:`_cross` in their order, then applies
+    :func:`_step_divisor` to its mask-order slots: an own row (B within C)
+    is x*w + x*r, an intersection adds x*w onto its slot in row order (a new
+    slot from 0.0, and 0.0 + p == p), and k adds x*w in row order from 0.0.
     A focal that a row lacks (a source of weight 1.0 has no Θ; a product
     may underflow) is carried as 0.0: x*1.0 + x*0.0 == x, and adding 0.0
     changes no sum, compensated or not.  Zeros are dropped from the final
@@ -349,12 +347,12 @@ def _fold_rows(
             k = 0.0
             for i in disjoint:
                 k += x[i] * w
-            kept = sum(y)
-            if k >= 1.0 - CONFLICT_EPSILON or not kept:
+            divisor = _step_divisor(y, k)
+            if not divisor:
                 out[r] = TotalConflictError(k, step=step)
                 continue
-            if k != 0.0 or abs(kept - 1.0) > SUM_TOLERANCE:
-                y = [v / kept for v in y]
+            if divisor != 1.0:
+                y = [v / divisor for v in y]
             values[r] = y
             ks[r].append(k)
             still.append(r)

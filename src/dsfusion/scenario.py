@@ -279,12 +279,9 @@ def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
     """Predict every condition in order; failures are collected, not raised.
 
     Each result is the one :func:`predict` gives for its condition, bit for
-    bit, but the conditions are folded together, from the weights alone:
-    every condition weights the same motions, so which focal elements meet
-    at each step is derived once, and each condition replays only its own
-    products, row-order sums, mask-order kept weight and division, in
-    ``fuse_all``'s order.  A weight of 1.0 (no Θ) or an underflowed product
-    is carried as 0.0, which changes no sum (see ``fusion._fold_rows``).
+    bit, but the conditions are folded together from the weights alone, on
+    one focal structure per step (``fusion._fold_rows``), each step by the
+    rule of ``fusion._step_divisor``.
     """
     results: list[Prediction | SweepFailure] = []
     focals = [motion.direction.mask for motion in scenario._motions]

@@ -700,16 +700,21 @@ class TestUnwritableStderr:
     failed flush of a buffered stderr at exit would exit 120."""
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("sink", ["closed", "full", "pipe-without-reader"])
+    @pytest.mark.parametrize("sink", ["writable", "closed", "full", "pipe-without-reader"])
     @pytest.mark.parametrize(
         "argv, code, digest",
         [
+            (["sweep", "--builtin", "takraw"], 0,
+             "da2ccdfec63f77db1103a26baf01fc54957c5b409224966e655ff2925d103ce3"),
+            # argparse prints its usage to stdout if sys.stderr is None
+            (["fuse", "--builtin", "takraw"], 1,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
             (["fuse", "--builtin", "takraw", "--condition", "99"], 2,
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
             (["sweep", "--scenario", "conflict.json"], 3,
              "3e87c40c34bd8b72ef4c9425c7aad9aa32087356c1a876ce1f24ed11fd8c6b43"),
         ],
-        ids=["validation", "conflict"],
+        ids=["success", "usage", "validation", "conflict"],
     )
     def test_exit_code_holds(self, tmp_path, argv, code, digest, sink, buffered):
         (tmp_path / "conflict.json").write_text(CONFLICT_DOC)
@@ -724,12 +729,13 @@ class TestUnwritableStderr:
                 cwd=tmp_path,
                 env=env,
                 stdout=subprocess.PIPE,
-                stderr=write if sink == "pipe-without-reader" else full,
+                stderr={"writable": subprocess.PIPE, "pipe-without-reader": write}.get(sink, full),
                 preexec_fn=(lambda: os.close(2)) if sink == "closed" else None,
             )
         os.close(write)
         assert result.returncode == code
         assert hashlib.sha256(result.stdout).hexdigest() == digest
+        assert b"Traceback" not in (result.stderr or b"")
 
     def test_main_returns_its_code_with_fd_2_closed(self):
         # closed after start-up, so sys.stderr is a stream on a dead descriptor

@@ -1,6 +1,8 @@
 """Dempster's rule: pairwise combination, traces, folds, and the oracle."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from dsfusion import (
     parse_scenario,
 )
 
+from dsfusion import fusion
 from dsfusion.fusion import _cross, _normalize
 from dsfusion.mass import SUM_TOLERANCE
 from helpers import (
@@ -812,3 +815,26 @@ def test_normalize_ignores_insertion_order(items, k, order):
     assert outcomes[0] == outcomes[1] == outcomes[2]
     if isinstance(outcomes[0], list):
         assert [mask for mask, _ in outcomes[0]] == sorted(mask for mask, p in items if p)
+
+
+def test_one_function_owns_the_step_rule():
+    # The fold step's rule (refuse, sum, divide) reads both constants.  While
+    # each is read in one function body only, no second copy of the rule can
+    # drift from the first.  A read outside any function has owner None.
+    readers = {"CONFLICT_EPSILON": set(), "SUM_TOLERANCE": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner is None else f"{owner}.{child.name}")
+            elif isinstance(child, ast.Name) and child.id in readers:
+                if isinstance(child.ctx, ast.Load):
+                    readers[child.id].add(owner)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(Path(fusion.__file__).read_text(encoding="utf-8")), None)
+    assert {name: len(owners) for name, owners in readers.items()} == {
+        "CONFLICT_EPSILON": 1, "SUM_TOLERANCE": 1,
+    }, readers
+    assert None not in readers["CONFLICT_EPSILON"] | readers["SUM_TOLERANCE"]

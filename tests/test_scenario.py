@@ -23,6 +23,7 @@ from dsfusion import (
     TotalConflictError,
     ValidationError,
     builtin_takraw_scenario,
+    combine,
     emit_scenario,
     evidence_for,
     fusion_report,
@@ -32,6 +33,7 @@ from dsfusion import (
     select_winner,
     sweep,
 )
+from dsfusion.fusion import CONFLICT_EPSILON
 from helpers import reference_winner
 
 # exact-oracle winning masses for conditions 1..9 of the builtin scenario
@@ -600,3 +602,40 @@ class TestSweep:
         assert (error.step, error.conflict, str(error)) == (
             1, 1.0, "total conflict at step 1 (k = 1.0)"
         )
+
+
+class TestRefusalThreshold:
+    """combine and predict (fuse_all) and sweep (fusion._fold_rows) refuse a
+    step exactly when its k reaches 1 - CONFLICT_EPSILON: {F} at weight 1.0
+    meets {L} at weight w in one step, with k == w."""
+
+    @staticmethod
+    def scenario(w):
+        frame = Frame(["F", "L"])
+        motions = [Motion("f", frame.subset(["F"])), Motion("l", frame.subset(["L"]))]
+        return Scenario(frame, motions, [(1.0, w)])
+
+    def test_refused_at_the_threshold(self):
+        w = 1.0 - CONFLICT_EPSILON
+        s = self.scenario(w)
+        with pytest.raises(TotalConflictError) as combined:
+            combine(*evidence_for(s, 1))
+        with pytest.raises(TotalConflictError) as predicted:
+            predict(s, 1)
+        [failure] = sweep(s)
+        assert isinstance(failure, SweepFailure)
+        assert (combined.value.step, combined.value.conflict) == (None, w)
+        assert (predicted.value.step, predicted.value.conflict) == (1, w)
+        assert (failure.error.step, failure.error.conflict) == (1, w)
+        assert str(failure.error) == str(predicted.value)
+
+    def test_kept_one_ulp_under_the_threshold(self):
+        w = math.nextafter(1.0 - CONFLICT_EPSILON, 0.0)
+        s = self.scenario(w)
+        front = [(s.frame.subset(["F"]).mask, 1.0)]
+        assert combine(*evidence_for(s, 1)).mask_items() == front
+        predicted = predict(s, 1)
+        [swept] = sweep(s)
+        assert predicted.final.mask_items() == swept.final.mask_items() == front
+        assert predicted.steps_conflict == swept.steps_conflict == (w,)
+        assert swept == predicted
