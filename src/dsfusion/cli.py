@@ -84,7 +84,7 @@ _OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the dsfusion command line (``main`` reuses its first one)."""
+    """A new parser for the dsfusion command line, one per ``main`` call that needs it."""
     import argparse  # here: a well-formed command line never needs it
 
     parser = argparse.ArgumentParser(
@@ -250,24 +250,15 @@ _COMMANDS = {
 }
 
 
-# Built by main's first call that needs argparse.  Reuse is safe: parse_args
-# makes fresh namespaces on every call, and argparse reads the terminal width
-# and sys.stdout/stderr when it prints, not when it is built.
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    global _parser
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        if _parser is None:
-            _parser = build_parser()
         stderr = sys.stderr  # None with fd 2 closed: argparse's usage would go to stdout
         sys.stderr = stderr or io.StringIO()
         try:
-            args = _parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage problems
             return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -24,7 +24,8 @@ its operations in its order, so they agree bit for bit:
 * ``_fold_rows`` folds many rows of simple-support weights on the same
   focals (a scenario's conditions, for ``sweep``) without building the
   supports: it derives each step's focal structure once and replays, per
-  row, the float operations of ``_cross`` in their order;
+  row, the float operations of ``_cross`` in their order (a row it returns
+  unfolded at ``FOLD_CELL_CAP``, ``sweep`` folds by ``predict``);
 * :func:`oracle_fuse_all` is an independent exact check with its own loop:
   it folds un-normalized integer products source by source and normalizes
   once at the end.  The tests hold it equal to an n-way enumeration of focal
@@ -262,15 +263,15 @@ def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
 
 def _fold_rows(
     frame: Frame, focals: Sequence[int], weights: Sequence[Sequence[float]]
-) -> list[tuple[MassFunction, tuple[float, ...]] | EvidenceError]:
+) -> list[tuple[MassFunction, tuple[float, ...]] | EvidenceError | None]:
     """:func:`fuse_all` of each row's simple supports, each step's focal
     structure derived once.
 
     Source i of a row is the simple support on focal mask ``focals[i]`` with
     the row's weight i, a float in (0, 1], read as the w and 1.0 - w that
     :meth:`MassFunction.simple_support` stores, so no support is built.
-    Returns, per row, its final mass function and per-step k, or the
-    :class:`EvidenceError` that refused it.
+    Returns, per row, its final mass function and per-step k, the
+    :class:`EvidenceError` that refused it, or None (see below).
 
     Which focal B lies within C, meets it or is disjoint from it depends on
     the focals alone.  So each step is derived once, on the structure that
@@ -288,7 +289,7 @@ def _fold_rows(
     within ``FOLD_CELL_CAP`` so does every row.  At the first step where it
     would not, each row still folding is held to the cap on its own focal
     count, and any row still under the cap (only zeros can keep it there)
-    is folded by :func:`fuse_all` instead, on supports built for it.
+    comes back as None, for the caller to fold on its supports.
     """
     full = frame._full_mask
     masks = [focals[0], full]
@@ -302,14 +303,8 @@ def _fold_rows(
                 x, row = values[r], weights[r]
                 try:
                     _check_cap(step, (len(x) - x.count(0.0)) * (1 if row[step] == 1.0 else 2))
-                    report = fuse_all([
-                        MassFunction.simple_support(frame.subset_from_mask(f), w)
-                        for f, w in zip(focals, row)
-                    ])
                 except EvidenceError as exc:
                     out[r] = exc
-                else:
-                    out[r] = report.final, report.per_step_conflict
             live = []
             break
         # Slot mask -> (first row, kind): 0 starts at the row's x*r, 1 (an

@@ -45,7 +45,7 @@ class Scenario:
     """Motions plus a [condition][motion] weight matrix over one frame, kept
     as floats; :func:`evidence_for` builds a condition's simple supports."""
 
-    __slots__ = ("_frame", "_motions", "_weights", "_supports")
+    __slots__ = ("_frame", "_motions", "_weights")
 
     def __init__(
         self,
@@ -103,7 +103,6 @@ class Scenario:
         self._frame = frame
         self._motions = tuple(motions)
         self._weights = tuple(weights)
-        self._supports: list[tuple[MassFunction, ...] | None] = [None] * len(weights)
 
     @property
     def frame(self) -> Frame:
@@ -207,19 +206,15 @@ def builtin_takraw_scenario() -> Scenario:
 
 def evidence_for(scenario: Scenario, condition: int) -> list[MassFunction]:
     """The simple supports of a 1-based condition, in motion order, built on
-    its first use and kept (shared, since a :class:`MassFunction` cannot be
-    changed); :func:`sweep` folds the weights and builds none."""
+    each call; :func:`sweep` folds the weights and, below the fold cap, builds none."""
     if type(condition) is not int or not 1 <= condition <= scenario.condition_count:
         raise ConditionOutOfRangeError(
             f"condition {condition!r} outside 1..{scenario.condition_count}"
         )
-    supports = scenario._supports[condition - 1]
-    if supports is None:
-        supports = scenario._supports[condition - 1] = tuple([
-            MassFunction.simple_support(motion.direction, w)
-            for motion, w in zip(scenario._motions, scenario._weights[condition - 1])
-        ])
-    return list(supports)
+    return [
+        MassFunction.simple_support(motion.direction, w)
+        for motion, w in zip(scenario._motions, scenario._weights[condition - 1])
+    ]
 
 
 def select_winner(final: MassFunction) -> Subset:
@@ -281,7 +276,8 @@ def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
     Each result is the one :func:`predict` gives for its condition, bit for
     bit, but the conditions are folded together from the weights alone, on
     one focal structure per step (``fusion._fold_rows``), each step by the
-    rule of ``fusion._step_divisor``.
+    rule of ``fusion._step_divisor``.  A condition that ``_fold_rows`` leaves
+    unfolded (only the shared structure passed the cap) is folded by :func:`predict`.
     """
     results: list[Prediction | SweepFailure] = []
     focals = [motion.direction.mask for motion in scenario._motions]
@@ -290,7 +286,9 @@ def sweep(scenario: Scenario) -> list[Prediction | SweepFailure]:
         try:
             if isinstance(folded, EvidenceError):
                 raise folded
-            results.append(_prediction(condition, *folded))
+            results.append(
+                predict(scenario, condition) if folded is None else _prediction(condition, *folded)
+            )
         except EvidenceError as exc:
             # The traceback would pin every frame of the failed fold (and
             # this one, a cycle) for as long as the results are held.

@@ -118,7 +118,12 @@ ONESHOT = [
 ]
 
 
-@pytest.mark.parametrize("argv", ONESHOT, ids=" ".join)
+# scenario_sweep calls main in process with sweep --scenario in every format;
+# the table shape is already one of cli_oneshot's.
+@pytest.mark.parametrize("argv", ONESHOT + [
+    ["sweep", "--scenario", "doc.json", "--format", "csv"],
+    ["sweep", "--scenario", "doc.json", "--format", "json"],
+], ids=" ".join)
 def test_reader_takes_every_benchmark_shape(argv):
     assert vars(cli._read_argv(argv)) == argparse_fields(argv)
 

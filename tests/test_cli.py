@@ -807,8 +807,7 @@ class TestGoldenOutput:
 
 
 class TestParserReuse:
-    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_parser", None)
+    def test_main_builds_a_parser_per_argparse_call_and_keeps_none(self, capsys, monkeypatch):
         builds = []
         build_parser = cli.build_parser
 
@@ -817,12 +816,19 @@ class TestParserReuse:
             return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        for _ in range(3):
-            run(capsys, "sweep", "--builtin", "takraw")
-            run(capsys, "fuse", "--builtin", "takraw", "--condition", "2", "--trace")
-            run(capsys, "--help")
-            run(capsys, "fuse", "--condition", "1")
-        assert len(builds) == 1
+        before = dict(vars(cli))
+        for _ in range(2):
+            for argv, code, parsers in (
+                (["--help"], 0, 1),
+                (["fuse", "--condition", "1"], 1, 1),
+                (["fuse", "--builtin", "takraw", "--condition", "2", "--trace"], 0, 0),
+            ):
+                builds.clear()
+                assert run(capsys, *argv)[0] == code, argv
+                assert len(builds) == parsers, argv
+        after = vars(cli)
+        assert after.keys() == before.keys()
+        assert [name for name, value in before.items() if after[name] is not value] == []
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()

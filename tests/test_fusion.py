@@ -838,3 +838,27 @@ def test_one_function_owns_the_step_rule():
         "CONFLICT_EPSILON": 1, "SUM_TOLERANCE": 1,
     }, readers
     assert None not in readers["CONFLICT_EPSILON"] | readers["SUM_TOLERANCE"]
+
+
+def test_one_function_builds_supports_from_a_scenario():
+    # evidence_for is the one place that turns a scenario's weights into simple
+    # supports; _fold_rows folds the weights alone and folds no support itself.
+    # A call outside any function has the module as its owner.
+    callers = {"simple_support": set(), "fuse_all": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callers:
+                    callers[name].add(owner)
+            visit(child, owner)
+
+    for path in sorted(Path(fusion.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers["simple_support"] == {"scenario.evidence_for"}, callers
+    assert "fusion._fold_rows" not in callers["fuse_all"], callers
