@@ -45,7 +45,7 @@ from .errors import (
     TotalConflictError,
 )
 from .frame import Frame, Subset
-from .mass import SUM_TOLERANCE, MassFunction, _shortest_decimal
+from .mass import SUM_TOLERANCE, MassFunction, _left_sum, _shortest_decimal
 
 CONFLICT_EPSILON = 1e-9
 # Focal pairs one step of fuse_all may cross.  A fold of simple supports can
@@ -173,7 +173,7 @@ def _step_divisor(kept: Iterable[float], k: float) -> float:
     vanishing 1 - k amplifies noise beyond any meaningful precision; k = 1
     means disjoint cores) or nothing is kept, which inputs that sum to 1 only
     within SUM_TOLERANCE allow below the threshold."""
-    total = sum(kept)  # one sum serves the no-conflict test and the divisor
+    total = _left_sum(kept)  # one sum serves the no-conflict test and the divisor
     if k >= 1.0 - CONFLICT_EPSILON or not total:
         return 0.0
     # Divide by the kept weight itself instead of 1-k.  Equal in exact

@@ -4,18 +4,24 @@ A :class:`MassFunction` maps subsets of a frame to mass values.  Construction
 validates the defining constraints: every mass finite, no mass on the empty
 set, every stored mass strictly positive (zero entries are dropped), and
 total mass one within ``SUM_TOLERANCE``.  All computation happens at full
-double precision; rounding is a display concern (see ``dsfusion.render``).
+double precision, and ``_left_sum`` adds each float total left to right, so
+digits match on every CPython; rounding is a display concern (``dsfusion.render``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping
+from functools import reduce
+from operator import add
 
 from .errors import EvidenceError, MassError, NotNormalizedError, WeightOutOfRangeError
 from .frame import Frame, Subset
 
 SUM_TOLERANCE = 1e-9
+# Every float total, left to right: CPython's sum compensates from 3.12 on.
+_left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
 
 Entries = Mapping[Subset, float] | Iterable[tuple[Subset, float]]
 
@@ -58,7 +64,7 @@ def _plain_weights(weights: tuple) -> bool:
     a NaN can hide from ``min`` and ``max``, not from the sum."""
     if {*map(type, weights)} != {float}:
         return False
-    return 0.0 < min(weights) and max(weights) <= 1.0 and math.isfinite(sum(weights))
+    return 0.0 < min(weights) and max(weights) <= 1.0 and math.isfinite(_left_sum(weights))
 
 
 def _shortest_decimal(value: float) -> tuple[int, int]:
@@ -91,7 +97,7 @@ class MassFunction:
         # Summed in mask order, as combining with the vacuous mass function sums
         # them, so that every mass function accepted here stays bit-exact there.
         masses = {mask: accumulated[mask] for mask in sorted(accumulated)}
-        total = sum(masses.values())
+        total = _left_sum(masses.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalizedError(f"masses sum to {total!r}, not 1")
         self._frame = frame
@@ -143,13 +149,13 @@ class MassFunction:
         """Total mass of focal elements contained in ``subset``."""
         self._frame.check_same(subset.frame)
         target = subset.mask
-        return sum(m for s, m in self._masses.items() if s & ~target == 0)
+        return _left_sum(m for s, m in self._masses.items() if s & ~target == 0)
 
     def plausibility(self, subset: Subset) -> float:
         """Total mass of focal elements intersecting ``subset``."""
         self._frame.check_same(subset.frame)
         target = subset.mask
-        return sum(m for s, m in self._masses.items() if s & target)
+        return _left_sum(m for s, m in self._masses.items() if s & target)
 
     def core(self) -> Subset:
         """Union of all focal elements."""

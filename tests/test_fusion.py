@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from dsfusion import (
     parse_scenario,
 )
 
-from dsfusion import fusion
+from dsfusion import fusion, mass
 from dsfusion.fusion import _cross, _normalize
 from dsfusion.mass import SUM_TOLERANCE
 from helpers import (
@@ -838,6 +839,39 @@ def test_one_function_owns_the_step_rule():
         "CONFLICT_EPSILON": 1, "SUM_TOLERANCE": 1,
     }, readers
     assert None not in readers["CONFLICT_EPSILON"] | readers["SUM_TOLERANCE"]
+
+
+def test_one_function_sums_every_float_total():
+    # CPython's sum compensates float totals from 3.12 on, so every float total
+    # goes through mass._left_sum, which adds left to right on every version.
+    # The builtin sums only integers: the oracle's exact products and the
+    # CLI's count of given flags.  A module-level assignment's owner is its
+    # target.
+    callers, namers = set(), set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Assign) and "." not in owner:
+                visit(child, f"{owner}.{ast.unparse(child.targets[0])}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum":
+                callers.add(owner)
+            elif isinstance(child, ast.Name) and child.id == "sum":
+                namers.add(owner)
+            visit(child, owner)
+
+    for path in sorted(Path(fusion.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {"fusion.oracle_fuse_all", "cli._read_argv"}, callers
+    assert namers - callers == {"mass._left_sum"}, namers
+    if sys.version_info < (3, 12):
+        assert mass._left_sum is sum
+    # left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum gives 1.0
+    assert mass._left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert repr(mass._left_sum([])) == "0"
 
 
 def test_one_function_builds_supports_from_a_scenario():
