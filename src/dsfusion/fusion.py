@@ -8,8 +8,8 @@ empty set (the conflict k), and renormalizing the rest by 1 - k:
     k      = sum(m1(B) * m2(C) for B n C = {})
 
 ``_step_divisor`` owns each fold step's rule: when it is refused and what it
-divides by.  A product that underflows to exactly 0.0 is dropped, so every
-stored mass stays strictly positive.
+divides by.  A product that underflows to exactly 0.0 is no focal element:
+``MassFunction._from_mask_dict`` drops it, so every stored mass stays positive.
 
 The float fold routes share one cross-product loop, ``_cross``, or replay
 its operations in its order, so they agree bit for bit:
@@ -169,10 +169,11 @@ def _step_divisor(kept: Iterable[float], k: float) -> float:
     """One fold step's rule, given its kept products in mask order and its k:
     0.0 if the step is refused, else what the products are divided by.
 
-    A step is refused once k reaches ``1 - CONFLICT_EPSILON`` (dividing by a
-    vanishing 1 - k amplifies noise beyond any meaningful precision; k = 1
-    means disjoint cores) or nothing is kept, which inputs that sum to 1 only
-    within SUM_TOLERANCE allow below the threshold."""
+    A step is refused once the k that the float fold computed reaches
+    ``1 - CONFLICT_EPSILON``, for a double k the same test as k >= 1 - 10**-9
+    (dividing by a vanishing 1 - k amplifies noise beyond any meaningful
+    precision; k = 1 means disjoint cores) or nothing is kept, which inputs
+    that sum to 1 only within SUM_TOLERANCE allow below the threshold."""
     total = _left_sum(kept)  # one sum serves the no-conflict test and the divisor
     if k >= 1.0 - CONFLICT_EPSILON or not total:
         return 0.0
@@ -195,9 +196,6 @@ def _normalize(
 
     Takes ownership of ``products``, which may become the result's own dict:
     products in ascending mask order are not copied, others are rebuilt."""
-    if 0.0 in products.values():
-        # A product that underflowed to 0.0 is no focal element.
-        products = {mask: p for mask, p in products.items() if p}
     masks = sorted(products)
     if masks != list(products):
         products = {mask: products[mask] for mask in masks}
@@ -282,8 +280,8 @@ def _fold_rows(
     slot from 0.0, and 0.0 + p == p), and k adds x*w in row order from 0.0.
     A focal that a row lacks (a source of weight 1.0 has no Θ; a product
     may underflow) is carried as 0.0: x*1.0 + x*0.0 == x, and adding 0.0
-    changes no sum, compensated or not.  Zeros are dropped from the final
-    mass function, so every output is bit for bit that of :func:`fuse_all`.
+    changes no sum, compensated or not.  ``MassFunction._from_mask_dict``
+    drops the zeros, so every output is bit for bit that of :func:`fuse_all`.
 
     The shared structure holds every row's focals, so while it stays
     within ``FOLD_CELL_CAP`` so does every row.  At the first step where it
@@ -355,8 +353,7 @@ def _fold_rows(
         if not live:
             break
     for r in live:
-        final = {mask: v for mask, v in zip(masks, values[r]) if v}
-        out[r] = MassFunction._from_mask_dict(frame, final), tuple(ks[r])
+        out[r] = MassFunction._from_mask_dict(frame, dict(zip(masks, values[r]))), tuple(ks[r])
     return out
 
 
@@ -392,6 +389,5 @@ def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:
     total = sum(acc.values())
     if total == 0:
         raise TotalConflictError(1.0)
-    # Int true division rounds the exact ratio once; one that rounds to 0.0 is no focal.
-    floats = [(mask, acc[mask] / total) for mask in sorted(acc)]
-    return MassFunction._from_mask_dict(frame, {mask: q for mask, q in floats if q})
+    # Int true division rounds the exact ratio once, perhaps to 0.0.
+    return MassFunction._from_mask_dict(frame, {mask: acc[mask] / total for mask in sorted(acc)})

@@ -2,8 +2,9 @@
 
 A :class:`MassFunction` maps subsets of a frame to mass values.  Construction
 validates the defining constraints: every mass finite, no mass on the empty
-set, every stored mass strictly positive (zero entries are dropped), and
-total mass one within ``SUM_TOLERANCE``.  All computation happens at full
+set, every stored mass strictly positive (a zero is no focal element, and
+``MassFunction._from_mask_dict``, which every internal builder calls, drops
+it), and total mass one within ``SUM_TOLERANCE``.  All computation happens at full
 double precision, and ``_left_sum`` adds each float total left to right, so
 digits match on every CPython; rounding is a display concern (``dsfusion.render``).
 """
@@ -105,9 +106,11 @@ class MassFunction:
 
     @classmethod
     def _from_mask_dict(cls, frame: Frame, masses: dict[int, float]) -> MassFunction:
-        """Internal fast path that checks nothing: the caller guarantees that the
-        masks ascend, that every mass is finite and strictly positive, and that
-        the masses sum to 1 within ``SUM_TOLERANCE``."""
+        """Internal fast path that checks nothing: the caller gives finite,
+        non-negative masses in ascending mask order that sum to 1 within
+        ``SUM_TOLERANCE``.  A zero is no focal element, so it is dropped here."""
+        if 0.0 in masses.values():
+            masses = {mask: m for mask, m in masses.items() if m}
         m = object.__new__(cls)
         m._frame = frame
         m._masses = masses
@@ -127,12 +130,7 @@ class MassFunction:
         """
         frame = focal.frame
         mask, weight = _checked_support(focal, weight)
-        rest = 1.0 - weight
-        m = object.__new__(cls)
-        m._frame, m._masses = frame, {mask: weight}
-        if rest:  # a proper focal's mask is below the full mask: keys stay sorted
-            m._masses[frame._full_mask] = rest
-        return m
+        return cls._from_mask_dict(frame, {mask: weight, frame._full_mask: 1.0 - weight})
 
     @property
     def frame(self) -> Frame:

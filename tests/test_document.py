@@ -102,6 +102,11 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_scenario('{"frame": ["a", "b"], "sources": []}')
 
+    def test_sources_empty_is_named(self):
+        # not left to the length check, which would report "disagree in length: []"
+        with pytest.raises(SchemaError, match='"sources" must be a non-empty array'):
+            parse_scenario('{"frame": ["a", "b"], "sources": []}')
+
     def test_source_not_object(self):
         with pytest.raises(SchemaError):
             parse_scenario(doc(sources=["nope"]))

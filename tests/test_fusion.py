@@ -15,7 +15,9 @@ from dsfusion import (
     Frame,
     FrameMismatchError,
     MassFunction,
+    Motion,
     NotNormalizedError,
+    Scenario,
     TotalConflictError,
     combine,
     combine_traced,
@@ -25,6 +27,7 @@ from dsfusion import (
     fuse_all,
     oracle_fuse_all,
     parse_scenario,
+    sweep,
 )
 
 from dsfusion import fusion, mass
@@ -623,6 +626,25 @@ class TestNormalization:
                 [(c, 0.4443348627873872), (a, 0.05124065774904858), (b, 0.5044244804635641)],
             )
 
+    def test_small_conflict_is_divided_out(self):
+        # k = 1e-12 leaves a kept weight within SUM_TOLERANCE of 1, but only a
+        # k of exactly 0 skips the division: undivided, {F} would keep
+        # 9.99999e-07 and Θ 0.9999980000009999.  combine and sweep's replay
+        # both give the oracle's masses.
+        frame = Frame(["F", "L", "R"])
+        motions = [Motion("f", frame.subset(["F"])), Motion("l", frame.subset(["L"]))]
+        scenario = Scenario(frame, motions, [(1e-6, 1e-6)])
+        front, left = evidence_for(scenario, 1)
+        products, k = _cross(front, left)
+        assert k == 1e-12 and abs(sum(products.values()) - 1.0) <= SUM_TOLERANCE
+        oracle = oracle_fuse_all([front, left])
+        assert oracle.mask_items() == [
+            (1, 9.99999000001e-07), (2, 9.99999000001e-07), (7, 0.999998000002),
+        ]
+        [swept] = sweep(scenario)
+        assert combine(front, left) == swept.final == oracle
+        assert swept.steps_conflict == (k,)
+
     @given(m1=oracle_operands(), d1=DELTAS, m2=oracle_operands(), d2=DELTAS)
     # inputs just under 1 put k = 1 - 1.8e-9 under the threshold with no
     # product left: a total conflict, not an empty or unnormalized result
@@ -839,6 +861,29 @@ def test_one_function_owns_the_step_rule():
         "CONFLICT_EPSILON": 1, "SUM_TOLERANCE": 1,
     }, readers
     assert None not in readers["CONFLICT_EPSILON"] | readers["SUM_TOLERANCE"]
+
+
+def test_one_function_drops_zero_masses():
+    # A zero is no focal element.  MassFunction._from_mask_dict drops it, and
+    # it is the one unchecked constructor: no other code calls object.__new__,
+    # and no comprehension in fusion.py filters what it hands over.
+    builders, filters = set(), set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__":
+                builders.add(owner)
+            elif isinstance(child, ast.comprehension) and child.ifs and owner.startswith("fusion"):
+                filters.add(owner)
+            visit(child, owner)
+
+    for path in sorted(Path(fusion.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert builders == {"mass.MassFunction._from_mask_dict"}, builders
+    assert filters == set(), filters
 
 
 def test_one_function_sums_every_float_total():

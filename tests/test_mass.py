@@ -91,6 +91,13 @@ class TestConstruction:
         m = MassFunction(flrb, {flrb.subset(["F"]): 0.0, flrb.full: 1.0})
         assert m.focal_elements() == [(flrb.full, 1.0)]
 
+    def test_unchecked_constructor_drops_zero_entries(self, flrb):
+        # the one place that drops a zero from what the fold and the oracle build
+        m = MassFunction._from_mask_dict(flrb, {1: 0.5, 3: 0.0, 15: 0.5})
+        assert m.mask_items() == [(1, 0.5), (15, 0.5)]
+        kept = {1: 0.5, 15: 0.5}
+        assert MassFunction._from_mask_dict(flrb, kept)._masses is kept
+
     def test_wrong_frame_subset(self, flrb):
         other = Frame(["F", "L", "R", "B"])
         with pytest.raises(FrameMismatchError):

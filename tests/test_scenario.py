@@ -598,6 +598,18 @@ class TestSweep:
         )
 
 
+def test_threshold_double_decides_as_its_decimal():
+    # The README states the threshold as the decimal 1 - 10**-9; the code
+    # compares the float fold's k with the double 1.0 - CONFLICT_EPSILON.  That
+    # double lies 2.8e-17 above the decimal and the next double down lies below
+    # it, so for every double k the two tests agree.
+    decimal = 1 - Fraction(1, 10**9)
+    threshold = 1.0 - CONFLICT_EPSILON
+    assert CONFLICT_EPSILON == 1e-9
+    assert f"{float(Fraction(threshold) - decimal):.2g}" == "2.8e-17"
+    assert Fraction(math.nextafter(threshold, 0.0)) < decimal
+
+
 class TestRefusalThreshold:
     """combine and predict (fuse_all) and sweep (fusion._fold_rows) refuse a
     step exactly when its k reaches 1 - CONFLICT_EPSILON: {F} at weight 1.0
