@@ -72,7 +72,7 @@ class TotalConflictError(FusionError):
 class ExplosionGuardError(FusionError):
     """A fold step would exceed its size cap.
 
-    ``fuse_all`` (and so ``fold``, ``predict`` and ``sweep``) and
+    The float fold (``fuse_all``, ``fold``, ``predict`` and ``sweep``) and
     ``oracle_fuse_all`` raise it for a step over ``FOLD_CELL_CAP`` focal
     pairs.
     """

@@ -14,9 +14,10 @@ divides by.  A product that underflows to exactly 0.0 is no focal element:
 The float fold routes share one cross-product loop, ``_cross``, or replay
 its operations in its order, so they agree bit for bit:
 
-* :func:`combine` pools two evidences; :func:`fuse_all` folds a sequence
-  left to right, recording each step's normalized result and conflict, and
-  :func:`fold` keeps only the final mass of that fold;
+* :func:`combine` pools two evidences; ``_fold_steps``, the one fold loop,
+  yields each step's normalized result and conflict of a left-to-right fold:
+  :func:`fuse_all` records every step, while :func:`fold` (and
+  ``scenario.predict``) keep one step at a time;
 * :func:`combine_traced` and :attr:`FusionReport.steps` wrap a combination in
   a :class:`CombinationTrace`, which enumerates its cells (a hand-worked
   combination table) from its two inputs only when read, in the same pair
@@ -35,7 +36,7 @@ its operations in its order, so they agree bit for bit:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .errors import (
@@ -48,7 +49,7 @@ from .frame import Frame, Subset
 from .mass import SUM_TOLERANCE, MassFunction, _left_sum, _shortest_decimal
 
 CONFLICT_EPSILON = 1e-9
-# Focal pairs one step of fuse_all may cross.  A fold of simple supports can
+# Focal pairs one fold step may cross.  A fold of simple supports can
 # double its focal count at every step, so a few dozen sources could need
 # minutes and gigabytes; the cap refuses such a fold in well under a second.
 FOLD_CELL_CAP = 2**18
@@ -173,9 +174,11 @@ def _step_divisor(kept: Iterable[float], k: float) -> float:
     ``1 - CONFLICT_EPSILON``, for a double k the same test as k >= 1 - 10**-9
     (dividing by a vanishing 1 - k amplifies noise beyond any meaningful
     precision; k = 1 means disjoint cores) or nothing is kept, which inputs
-    that sum to 1 only within SUM_TOLERANCE allow below the threshold."""
+    that sum to 1 only within SUM_TOLERANCE allow below the threshold: a
+    kept weight of 0 is more than SUM_TOLERANCE off 1, so it is returned
+    as the divisor, which is the refusal."""
     total = _left_sum(kept)  # one sum serves the no-conflict test and the divisor
-    if k >= 1.0 - CONFLICT_EPSILON or not total:
+    if k >= 1.0 - CONFLICT_EPSILON:
         return 0.0
     # Divide by the kept weight itself instead of 1-k.  Equal in exact
     # arithmetic, but near the refusal threshold the cancellation noise in k
@@ -237,26 +240,39 @@ def _check_cap(step_no: int, cells: int) -> None:
         )
 
 
-def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
-    """Fold sources left to right, recording each step's result and conflict.
+def _fold_steps(
+    sources: Sequence[MassFunction],
+) -> Iterator[tuple[MassFunction, float | None]]:
+    """The one fold loop: the first source with None, then each step's
+    normalized result with its k, left to right.
 
     Step i combines the accumulated result with source i+1 and renormalizes,
-    exactly like working through the combination tables one by one.  A step
-    over ``FOLD_CELL_CAP`` focal pairs raises :class:`ExplosionGuardError`
-    before it starts.
+    exactly like working through the combination tables one by one.  Between
+    steps the loop keeps only the current result, so a caller that keeps no
+    more holds at most the previous result, the step's products and the new
+    result.  A step over ``FOLD_CELL_CAP`` focal pairs raises
+    :class:`ExplosionGuardError` before it starts.
     """
     frame = _common_frame(sources)
-    sources = tuple(sources)
     acc = sources[0]
-    results = [acc]
-    ks: list[float] = []
+    yield acc, None
     for step_no, source in enumerate(sources[1:], start=1):
         _check_cap(step_no, len(acc._masses) * len(source._masses))
         products, k = _cross(acc, source)
         acc = _normalize(frame, products, k, step=step_no)
-        results.append(acc)
-        ks.append(k)
-    return FusionReport(sources, tuple(results), tuple(ks))
+        del products  # not kept past its step
+        yield acc, k
+
+
+def fuse_all(sources: Sequence[MassFunction]) -> FusionReport:
+    """Fold sources left to right, recording each step's result and conflict.
+
+    A step over ``FOLD_CELL_CAP`` focal pairs raises
+    :class:`ExplosionGuardError` before it starts."""
+    # Unpacked from a list: a tuple built from a generator is resized and
+    # strands blocks on CPython's free lists.
+    results, ks = zip(*list(_fold_steps(sources)))
+    return FusionReport(tuple(sources), results, ks[1:])
 
 
 def _fold_rows(
@@ -358,8 +374,10 @@ def _fold_rows(
 
 
 def fold(sources: Sequence[MassFunction]) -> MassFunction:
-    """The final mass of :func:`fuse_all`."""
-    return fuse_all(sources).final
+    """The final mass of :func:`fuse_all`, from a fold that keeps one step at a time."""
+    for final, _ in _fold_steps(sources):
+        pass
+    return final
 
 
 def oracle_fuse_all(sources: Sequence[MassFunction]) -> MassFunction:

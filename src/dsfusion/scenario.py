@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .frame import Frame, Subset, _encodable
-from .fusion import FusionReport, _fold_rows, fuse_all
+from .fusion import FusionReport, _fold_rows, _fold_steps, fuse_all
 from .mass import MassFunction, _checked_support, _plain_weights
 
 
@@ -224,6 +224,16 @@ def select_winner(final: MassFunction) -> Subset:
     ties go to the higher belief, then to the lower subset mask.  Masks
     ascend, so Θ, if it is a focal element, is the last one and is dropped
     before the maximum is taken.
+
+    Belief is O(focals), so it is evaluated only on a tie, and only for the
+    tied focals that no other tied focal contains: a tied A inside a tied A'
+    always has the lower float belief.  In mask order, bel(A') adds every
+    term of bel(A), other positive terms, and last m(A').  Float addition is
+    monotone, so the sum before m(A') is at least bel(A) >= m(A); as every
+    term is at most m(A) == m(A') and a mass function has far fewer than
+    2**51 focals, adding m(A') then raises it.  The tied masks are scanned
+    by descending size against the maximal ones found so far, so the work is
+    tied x maximal mask tests and maximal x focals belief terms.
     """
     frame = final.frame
     masks = list(final._masses)
@@ -235,9 +245,12 @@ def select_winner(final: MassFunction) -> Subset:
     top = max(masses)
     if masses.count(top) == 1:
         return frame.subset_from_mask(masks[masses.index(top)])
-    # Belief is O(focals), so it is only evaluated when masks tie at the top.
-    tied = [frame.subset_from_mask(mask) for mask, m in zip(masks, masses) if m == top]
-    return max(tied, key=lambda s: (final.belief(s), -s.mask))
+    tied = [mask for mask, m in zip(masks, masses) if m == top]
+    maximal: list[int] = []
+    for mask in sorted(tied, key=int.bit_count, reverse=True):
+        if all(mask & ~other for other in maximal):
+            maximal.append(mask)
+    return max(map(frame.subset_from_mask, maximal), key=lambda s: (final.belief(s), -s.mask))
 
 
 def _prediction(
@@ -261,8 +274,16 @@ def prediction_from_report(report: FusionReport, condition: int) -> Prediction:
 
 
 def predict(scenario: Scenario, condition: int) -> Prediction:
-    """Fuse one condition's evidence and pick the winning direction."""
-    return prediction_from_report(fusion_report(scenario, condition), condition)
+    """Fuse one condition's evidence and pick the winning direction.
+
+    The fold is :func:`fusion_report`'s, but it keeps only the current
+    result and each step's k, so the prediction is
+    ``prediction_from_report(fusion_report(scenario, condition), condition)``.
+    """
+    ks = []
+    for final, k in _fold_steps(evidence_for(scenario, condition)):
+        ks.append(k)
+    return _prediction(condition, final, tuple(ks[1:]))
 
 
 def fusion_report(scenario: Scenario, condition: int) -> FusionReport:

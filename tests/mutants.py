@@ -64,18 +64,9 @@ MUTANTS = (
     # ... refuse once k reaches the threshold ...
     Mutant(
         "fusion.py",
-        "    if k >= 1.0 - CONFLICT_EPSILON or not total:",
-        "    if k > 1.0 - CONFLICT_EPSILON or not total:",
-        ("tests/test_scenario.py",),
-    ),
-    # ... or once nothing is kept ...
-    Mutant(
-        "fusion.py",
-        "    if k >= 1.0 - CONFLICT_EPSILON or not total:",
         "    if k >= 1.0 - CONFLICT_EPSILON:",
-        ("tests/test_fusion.py",),
-        "a kept weight of 0 is more than SUM_TOLERANCE off 1, so it falls through"
-        " to the last line, which returns that 0 as the refusal",
+        "    if k > 1.0 - CONFLICT_EPSILON:",
+        ("tests/test_scenario.py",),
     ),
     # ... and divide by the kept weight, not by 1 - k.
     Mutant(
@@ -97,6 +88,29 @@ MUTANTS = (
         "    if cells > FOLD_CELL_CAP:",
         "    if cells >= FOLD_CELL_CAP:",
         ("tests/test_fusion.py",),
+    ),
+    # fold and predict keep one step of the fold at a time.
+    Mutant(
+        "fusion.py",
+        "    for final, _ in _fold_steps(sources):\n        pass\n    return final\n",
+        "    return fuse_all(sources).final\n",
+        ("tests/test_footprint.py",),
+    ),
+    Mutant(
+        "scenario.py",
+        "    ks = []\n"
+        "    for final, k in _fold_steps(evidence_for(scenario, condition)):\n"
+        "        ks.append(k)\n"
+        "    return _prediction(condition, final, tuple(ks[1:]))\n",
+        "    return prediction_from_report(fusion_report(scenario, condition), condition)\n",
+        ("tests/test_footprint.py",),
+    ),
+    # Winner selection evaluates belief only for the maximal tied focals.
+    Mutant(
+        "scenario.py",
+        "        if all(mask & ~other for other in maximal):",
+        "        if True:",
+        ("tests/test_footprint.py",),
     ),
     # Exact ties go to the higher belief, then to the lower subset mask.
     Mutant(

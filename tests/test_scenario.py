@@ -483,6 +483,33 @@ def test_select_winner_matches_reference(weights):
     assert select_winner(m) == expected
 
 
+H6 = Frame([f"h{i}" for i in range(6)])
+
+
+@given(
+    masks=st.sets(st.integers(min_value=1, max_value=H6.full.mask), min_size=1, max_size=40),
+    lower=st.sets(st.integers(min_value=0, max_value=39), max_size=10),
+)
+@example(masks={1, 3, 7, 15}, lower=set())  # a chain of ties: the largest wins
+@example(masks={3, 5, 6, 1, 2, 4}, lower=set())  # maximal ties of equal belief
+@example(masks={3, 12, 1, 63}, lower={0})  # the tie under the top does not count
+def test_select_winner_matches_reference_on_nested_ties(masks, lower):
+    # weight 2 on every focal but those at the positions in ``lower``, so
+    # many focals tie at the top, some inside others
+    weights = [1 if i in lower else 2 for i in range(len(masks))]
+    total = sum(weights)
+    m = MassFunction(
+        H6, {H6.subset_from_mask(mask): w / total for mask, w in zip(sorted(masks), weights)}
+    )
+    try:
+        expected = reference_winner(m)
+    except FusionError:
+        with pytest.raises(FusionError):
+            select_winner(m)
+        return
+    assert select_winner(m) == expected
+
+
 class TestPredict:
     def test_condition_1_winner_is_back(self):
         takraw = builtin_takraw_scenario()
