@@ -17,7 +17,6 @@ import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .document import emit_scenario, parse_scenario, scenario_digest
@@ -35,10 +34,12 @@ from .scenario import (
     SweepFailure,
     builtin_takraw_scenario,
     fusion_report,
+    predict,
     prediction_from_report,
     sweep,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import argparse
 
@@ -198,16 +199,15 @@ def _load_scenario(args: _Args) -> tuple[str, Scenario]:
 
 def _cmd_fuse(args: _Args) -> int:
     name, scenario = _load_scenario(args)
-    report = fusion_report(scenario, args.condition)
-    run = RunReport(
-        scenario=scenario,
-        scenario_name=name,
-        # Only the table prints the digest; JSON and CSV need not hash.
-        scenario_digest=scenario_digest(scenario) if args.format == "table" else "",
-        condition=args.condition,
-        report=report,
-        prediction=prediction_from_report(report, args.condition),
-    )
+    # Only JSON and the traced table print the steps; the others keep one at a time.
+    if args.format == "json" or args.format == "table" and args.trace:
+        report = fusion_report(scenario, args.condition)
+        prediction = prediction_from_report(report, args.condition)
+    else:
+        report, prediction = None, predict(scenario, args.condition)
+    # Only the table prints the digest; JSON and CSV need not hash.
+    digest = scenario_digest(scenario) if args.format == "table" else ""
+    run = RunReport(scenario, name, digest, args.condition, report, prediction)
     if args.format == "json":
         output = fuse_json(run)
     elif args.format == "csv":

@@ -36,8 +36,8 @@ its operations in its order, so they agree bit for bit:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
@@ -45,7 +45,7 @@ from .errors import (
     ExplosionGuardError,
     TotalConflictError,
 )
-from .frame import Frame, Subset
+from .frame import Frame
 from .mass import SUM_TOLERANCE, MassFunction, _left_sum, _shortest_decimal
 
 CONFLICT_EPSILON = 1e-9
@@ -55,27 +55,27 @@ CONFLICT_EPSILON = 1e-9
 FOLD_CELL_CAP = 2**18
 
 
-class CombinationCell(NamedTuple):
-    """One cross-product cell: left focal meets right focal."""
+class CombinationCell(namedtuple("CombinationCell", "left right intersection product")):
+    """One cross-product cell: left focal meets right focal.
 
-    left: Subset
-    right: Subset
-    intersection: Subset
-    product: float
+    ``left``, ``right`` and ``intersection`` are Subsets; ``product`` is the
+    float m1(left) * m2(right).
+    """
+
+    __slots__ = ()
 
 
-class CombinationTrace(NamedTuple):
+class CombinationTrace(namedtuple("CombinationTrace", "inputs conflict result")):
     """Everything one pairwise combination did.
 
     ``cells`` lists all focal pairs in deterministic order (left focal
-    ascending by mask, then right focal ascending); ``conflict`` is k;
-    ``result`` is the normalized combined mass function; ``inputs`` keeps the
-    two operands so a renderer can label table rows and columns.
+    ascending by mask, then right focal ascending); ``conflict`` is k, a
+    float; ``result`` is the normalized combined MassFunction; ``inputs``
+    keeps the two operands, a pair of MassFunctions, so a renderer can label
+    table rows and columns.
     """
 
-    inputs: tuple[MassFunction, MassFunction]
-    conflict: float
-    result: MassFunction
+    __slots__ = ()
 
     @property
     def cells(self) -> tuple[CombinationCell, ...]:
@@ -91,17 +91,17 @@ class CombinationTrace(NamedTuple):
         ])
 
 
-class FusionReport(NamedTuple):
+class FusionReport(namedtuple("FusionReport", "sources results per_step_conflict")):
     """A sequential left-to-right fold of ``sources``.
 
-    ``results[i]`` is the normalized fold of ``sources[:i + 1]`` (so
-    ``results[0]`` is the first source) and ``per_step_conflict[i]`` is the k
-    of combining ``results[i]`` with ``sources[i + 1]``.
+    ``sources`` and ``results`` are tuples of MassFunctions, and
+    ``per_step_conflict`` a tuple of floats.  ``results[i]`` is the
+    normalized fold of ``sources[:i + 1]`` (so ``results[0]`` is the first
+    source) and ``per_step_conflict[i]`` is the k of combining ``results[i]``
+    with ``sources[i + 1]``.
     """
 
-    sources: tuple[MassFunction, ...]
-    results: tuple[MassFunction, ...]
-    per_step_conflict: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def final(self) -> MassFunction:

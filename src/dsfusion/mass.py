@@ -14,15 +14,19 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Mapping
-from functools import reduce
-from operator import add
 
 from .errors import EvidenceError, MassError, NotNormalizedError, WeightOutOfRangeError
 from .frame import Frame, Subset
 
 SUM_TOLERANCE = 1e-9
 # Every float total, left to right: CPython's sum compensates from 3.12 on.
-_left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
+if sys.version_info < (3, 12):
+    _left_sum = sum
+else:
+    from functools import reduce
+    from operator import add
+
+    _left_sum = lambda values: reduce(add, values, 0)  # noqa: E731
 
 Entries = Mapping[Subset, float] | Iterable[tuple[Subset, float]]
 

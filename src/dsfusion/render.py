@@ -9,13 +9,13 @@ bankers' rounding would spoil); JSON and CSV carry full precision.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .document import _json_text
 from .frame import Subset
-from .fusion import CombinationTrace, FusionReport
+from .fusion import CombinationTrace
 from .mass import MassFunction, _shortest_decimal
-from .scenario import Prediction, Scenario, SweepFailure
+from .scenario import Prediction, SweepFailure
 
 _DIRECTION_WORDS = {"F": "front", "L": "left", "R": "right", "B": "back"}
 
@@ -59,15 +59,17 @@ def mass_map(m: MassFunction, keys: dict[int, str] | None = None) -> dict[str, f
     return {keys[mask]: v for mask, v in m._masses.items()}
 
 
-class RunReport(NamedTuple):
-    """One fusion run, ready to render: scenario identity plus the numbers."""
+class RunReport(
+    namedtuple("RunReport", "scenario scenario_name scenario_digest condition report prediction")
+):
+    """One fusion run, ready to render: scenario identity plus the numbers.
 
-    scenario: Scenario
-    scenario_name: str
-    scenario_digest: str
-    condition: int
-    report: FusionReport
-    prediction: Prediction
+    ``scenario`` is the Scenario, ``scenario_name`` and ``scenario_digest``
+    are strs, ``condition`` is the int index, ``report`` is the FusionReport,
+    or None when the output prints no step, and ``prediction`` the Prediction.
+    """
+
+    __slots__ = ()
 
 
 def _mass_line(m: MassFunction, precision: int) -> str:

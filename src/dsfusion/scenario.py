@@ -19,8 +19,8 @@ README for the full comparison.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .errors import (
     ConditionOutOfRangeError,
@@ -34,11 +34,11 @@ from .fusion import FusionReport, _fold_rows, _fold_steps, fuse_all
 from .mass import MassFunction, _checked_support, _plain_weights
 
 
-class Motion(NamedTuple):
-    """One evidence source: a named motion supporting a direction subset."""
+class Motion(namedtuple("Motion", "name direction")):
+    """One evidence source: a motion named by the str ``name``, supporting the
+    direction Subset ``direction``."""
 
-    name: str
-    direction: Subset
+    __slots__ = ()
 
 
 class Scenario:
@@ -144,23 +144,25 @@ class Scenario:
         )
 
 
-class Prediction(NamedTuple):
-    """The fusion outcome for one condition."""
+class Prediction(namedtuple("Prediction", (
+    "condition final winner winner_mass winner_belief winner_plausibility steps_conflict"
+))):
+    """The fusion outcome for one condition.
 
-    condition: int
-    final: MassFunction
-    winner: Subset
-    winner_mass: float
-    winner_belief: float
-    winner_plausibility: float
-    steps_conflict: tuple[float, ...]
+    ``condition`` is the int index, ``final`` the fused MassFunction, ``winner``
+    the winning Subset, ``winner_mass``, ``winner_belief`` and
+    ``winner_plausibility`` its floats, and ``steps_conflict`` the tuple of
+    each step's float k.
+    """
+
+    __slots__ = ()
 
 
-class SweepFailure(NamedTuple):
-    """A condition whose fold could not finish (kept so a sweep never aborts)."""
+class SweepFailure(namedtuple("SweepFailure", "condition error")):
+    """A condition whose fold could not finish (kept so a sweep never aborts):
+    the int ``condition`` and the EvidenceError that refused it."""
 
-    condition: int
-    error: EvidenceError
+    __slots__ = ()
 
 
 # Built-in sepak-takraw start-kick scenario: per motion, the supported

@@ -153,32 +153,117 @@ MUTANTS = (
         ("tests/test_fusion.py",),
     ),
     # sweep's replay carries a missing focal as 0.0 and counts only the
-    # focals a row has against the cap.
+    # focals a row has against the cap: its nonzero slots, times 1 for a
+    # source of weight 1.0 (no Θ) or 2 ...
     Mutant(
         "fusion.py",
         "_check_cap(step, (len(x) - x.count(0.0)) *",
         "_check_cap(step, len(x) *",
         ("tests/test_untraced.py",),
     ),
-    # A total conflict exits 3, every other evidence error 2.
+    Mutant(
+        "fusion.py",
+        "(1 if row[step] == 1.0 else 2)",
+        "2",
+        ("tests/test_untraced.py",),
+    ),
+    # ... and a row still under the cap there is folded by predict, not cut short.
+    Mutant(
+        "fusion.py",
+        "            live = []\n            break\n",
+        "            break\n",
+        ("tests/test_untraced.py",),
+    ),
+    # Usage and I/O errors exit 1, a total conflict 3, every other evidence error 2.
+    Mutant(
+        "cli.py",
+        "        return EXIT_USAGE\n    return EXIT_CONFLICT",
+        "        return EXIT_VALIDATION\n    return EXIT_CONFLICT",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli.py",
+        "    if isinstance(exc, (OSError, UnicodeEncodeError)):",
+        "    if isinstance(exc, OSError):",
+        ("tests/test_cli.py",),
+    ),
     Mutant(
         "cli.py",
         "    return EXIT_CONFLICT if isinstance(exc, TotalConflictError) else EXIT_VALIDATION",
         "    return EXIT_VALIDATION",
         ("tests/test_cli.py",),
     ),
-    # The argv reader leaves a command line without exactly one source to argparse.
+    Mutant(
+        "cli.py",
+        "isinstance(exc, TotalConflictError) else EXIT_VALIDATION",
+        "isinstance(exc, TotalConflictError) else EXIT_USAGE",
+        ("tests/test_cli.py",),
+    ),
+    # The argv reader leaves to argparse a command line without exactly one
+    # source, with a repeated option, or with a value that is empty or starts
+    # with "-".
     Mutant(
         "cli.py",
         "    if sources and sum(flag in given for flag, _ in sources) != 1:",
         "    if sources and sum(flag in given for flag, _ in sources) > 1:",
         ("tests/test_argv.py",),
     ),
-    # A document needs at least one source.
+    Mutant(
+        "cli.py",
+        "            if options is None or token in given:",
+        "            if options is None:",
+        ("tests/test_argv.py",),
+    ),
+    Mutant(
+        "cli.py",
+        '            if value.startswith("-"):',
+        "            if False:",
+        ("tests/test_argv.py",),
+    ),
+    Mutant(
+        "cli.py",
+        "        if not value:",
+        "        if False:",
+        ("tests/test_argv.py",),
+    ),
+    # A document needs at least one source ...
     Mutant(
         "document.py",
         "    if not isinstance(sources, list) or not sources:",
         "    if not isinstance(sources, list):",
+        ("tests/test_document.py",),
+    ),
+    # ... repeats no key in an object, starts with no byte order mark ...
+    Mutant(
+        "document.py",
+        "    if len(data) < len(pairs):",
+        "    if False:",
+        ("tests/test_document.py",),
+    ),
+    Mutant(
+        "document.py",
+        '    if text.startswith("\\ufeff"):',
+        "    if False:",
+        ("tests/test_cli.py",),
+    ),
+    # ... has exactly the top-level and per-source keys ...
+    Mutant(
+        "document.py",
+        "    if set(data) != _TOP_KEYS:",
+        "    if not _TOP_KEYS <= set(data):",
+        ("tests/test_document.py",),
+    ),
+    Mutant(
+        "document.py",
+        "        if set(source) != _SOURCE_KEYS:",
+        "        if not _SOURCE_KEYS <= set(source):",
+        ("tests/test_document.py",),
+    ),
+    # ... and gives every source one weight per condition.
+    Mutant(
+        "document.py",
+        "    if len(lengths) != 1:",
+        "    if False:",
         ("tests/test_document.py",),
     ),
 )

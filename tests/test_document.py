@@ -76,6 +76,7 @@ class TestParse:
             '{"frame": ["a", "b"]}',
             '{"sources": []}',
             '{"frame": ["a"], "sources": [], "extra": 1}',
+            MINIMAL[:-1] + ', "extra": 1}',  # valid but for the key
         ],
     )
     def test_wrong_top_level_keys(self, text):

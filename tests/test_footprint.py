@@ -1,7 +1,8 @@
 """What the fold and winner selection hold and do, counted rather than timed.
 
-``tracemalloc`` counts the bytes that ``fold`` and ``predict`` hold at their
-peak against the bytes of the final mass function alone.  A wrapper around
+``tracemalloc`` counts the bytes that ``fold``, ``predict`` and a ``fuse``
+whose output prints no step hold at their peak against the bytes of the
+final mass function alone.  A wrapper around
 ``MassFunction.belief`` counts the terms that winner selection sums against
 the focal pairs that the fold crossed.
 """
@@ -19,6 +20,7 @@ from dsfusion import (
     Motion,
     Scenario,
     cli,
+    emit_scenario,
     evidence_for,
     fold,
     fuse_all,
@@ -28,6 +30,7 @@ from dsfusion import (
     prediction_from_report,
     select_winner,
 )
+from dsfusion.render import sweep_csv
 
 from helpers import doubling_document
 
@@ -78,6 +81,20 @@ def test_predict_holds_one_step_at_a_time():
     prediction, peak, _ = _traced(lambda: predict(scenario, 1))
     assert peak <= HELD * own
     assert prediction == prediction_from_report(fusion_report(scenario, 1), 1)
+
+
+def test_fuse_holds_one_step_at_a_time(tmp_path, capsys):
+    # CSV prints no step, so fuse folds as predict does; JSON and --trace
+    # print every step and keep them.
+    scenario = _plateau()
+    path = tmp_path / "plateau.json"
+    path.write_text(emit_scenario(scenario), encoding="utf-8")
+    _, _, own = _traced(lambda: fold(evidence_for(scenario, 1)))
+    argv = ["fuse", "--scenario", str(path), "--condition", "1", "--format", "csv"]
+    code, peak, _ = _traced(lambda: cli.main(argv))
+    assert code == 0
+    assert peak <= HELD * own
+    assert capsys.readouterr().out == sweep_csv([predict(scenario, 1)])
 
 
 def test_winner_selection_is_bounded_by_the_fold(monkeypatch):

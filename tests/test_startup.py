@@ -1,10 +1,15 @@
 """Start-up cost: what ``import dsfusion.cli`` loads, and the records it uses.
 
 Every ``dsfusion`` run pays for its imports, so modules that only one rare
-path needs are imported inside that path.  The result records are named
-tuples: as cheap to define as a plain class, and read-only like the frozen
-dataclasses they replaced.
+path needs are imported inside that path.  The result records are
+``collections.namedtuple`` classes: as cheap to define as a plain class,
+read-only like the frozen dataclasses they replaced, and, unlike
+``typing.NamedTuple``, in need of no ``typing`` (with ``re``, ``enum`` and
+``contextlib`` behind it) at start-up.
 """
+
+import subprocess
+import sys
 
 import pytest
 
@@ -22,18 +27,23 @@ from dsfusion import (
 )
 from dsfusion.render import RunReport
 
-from helpers import fresh_interpreter
+from helpers import ROOT, fresh_interpreter
 from test_argv import ONESHOT
 from test_cli import GOLDEN_HELP
 
 # dataclasses (with inspect, ast, dis), the modules only one path uses (the
 # scenario digest and CSV output, argparse for help and usage errors, json for
 # a scenario document), and what dsfusion does not use: logging, which costs
-# several ms to import, and the decimal and rational number towers, whose one
-# idea here (a float's printed decimal) is integer arithmetic.
+# several ms to import, the decimal and rational number towers, whose one
+# idea here (a float's printed decimal) is integer arithmetic, and typing
+# with the re, enum and contextlib it loads (the records are built by
+# collections.namedtuple, and cli.py keeps its own TYPE_CHECKING).  Below
+# 3.12, _left_sum is the builtin sum, so functools is not loaded either.
 DEFERRED = (
     "dataclasses", "inspect", "hashlib", "csv", "logging",
     "decimal", "numbers", "fractions", "argparse", "json",
+    "typing", "re", "enum", "contextlib",
+    *(("functools",) if sys.version_info < (3, 12) else ()),
 )
 
 
@@ -163,3 +173,37 @@ def test_records_unpack_in_field_order():
     for record, value in _records().items():
         assert record._fields == FIELDS[record]
         assert tuple(value) == tuple(getattr(value, f) for f in FIELDS[record])
+
+
+def test_records_repr_compare_and_hash_like_named_tuples():
+    for record, value in _records().items():
+        plain = tuple(value)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(FIELDS[record], plain))
+        assert repr(value) == f"{record.__name__}({fields})"
+        assert value == plain and not value != plain
+        try:
+            expected = hash(plain)
+        except TypeError:  # a Scenario field compares by value and has no hash
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == expected
+        assert record.__match_args__ == record._fields
+        assert record._field_defaults == {}
+        assert getattr(sys.modules[record.__module__], record.__name__) is record
+        assert not hasattr(value, "__dict__")
+    failure = SweepFailure(3, ValueError("x"))
+    assert repr(failure) == "SweepFailure(condition=3, error=ValueError('x'))"
+
+
+@pytest.mark.parametrize("mode", [[], ["--from-source"]], ids=["cached", "from-source"])
+def test_coldstart_script_runs_one_round(mode):
+    # tests/coldstart.py, one A/A round of this checkout's src against itself
+    src = str(ROOT / "src")
+    script = [sys.executable, str(ROOT / "tests" / "coldstart.py"), "--a", src, "--b", src]
+    done = subprocess.run(
+        [*script, "--rounds", "1", *mode], capture_output=True, text=True, check=True
+    )
+    rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+    assert rows == ["floor", "A", "B", "B", "B"]
+    assert ("from source" in done.stdout) == bool(mode)

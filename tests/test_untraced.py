@@ -21,12 +21,14 @@ from dsfusion import (
     EvidenceError,
     Frame,
     Motion,
+    Prediction,
     Scenario,
     SweepFailure,
     TotalConflictError,
     emit_scenario,
     evidence_for,
     fuse_all,
+    fusion,
     fusion_report,
     parse_scenario,
     predict,
@@ -218,3 +220,19 @@ def test_sweep_at_the_fold_cap_matches_traced_sweep():
     assert expected[1].winner.labels == ("h63",)
     # Folding past the cap would at least double the time; the margin is for noise.
     assert min(seconds[sweep]) <= 1.5 * min(seconds[traced_sweep])
+
+
+def test_sweep_counts_a_source_without_theta_once_at_the_cap(monkeypatch):
+    # Under a cap of 16, the first four doubling sources fold onto 16 focals,
+    # so the shared structure passes the cap at step 4.  Condition 1 would
+    # cross 16 x 2 focal pairs there and is refused; condition 2's source 4
+    # has weight 1.0 and no Θ, so it crosses 16 x 1 and is folded by predict.
+    monkeypatch.setattr(fusion, "FOLD_CELL_CAP", 16)
+    document = json.loads(doubling_document())
+    del document["sources"][5:]
+    for i, source in enumerate(document["sources"]):
+        source["bpa"] = [0.5, 1.0 if i == 4 else 0.5]
+    scenario = parse_scenario(json.dumps(document))
+    expected = traced_sweep(scenario)
+    assert [type(r) for r in expected] == [SweepFailure, Prediction]
+    assert_same_sweep(sweep(scenario), expected)
