@@ -205,15 +205,13 @@ def _cmd_fuse(args: _Args) -> int:
         prediction = prediction_from_report(report, args.condition)
     else:
         report, prediction = None, predict(scenario, args.condition)
-    # Only the table prints the digest; JSON and CSV need not hash.
-    digest = scenario_digest(scenario) if args.format == "table" else ""
-    run = RunReport(scenario, name, digest, args.condition, report, prediction)
+    run = RunReport(scenario, report, prediction)
     if args.format == "json":
         output = fuse_json(run)
     elif args.format == "csv":
-        output = sweep_csv([run.prediction])
+        output = sweep_csv([prediction])
     else:
-        output = fuse_text(run, args.precision, args.trace)
+        output = fuse_text(name, scenario_digest(scenario), run, args.precision)
     _write(output)
     return EXIT_OK
 

@@ -146,7 +146,12 @@ def _json_text(value: object, indent: str = "\n") -> str:
         ends, items = "[]", [_json_text(item, inner) for item in value]
     else:
         raise TypeError(f"{value!r} is not written as JSON")
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+    if not items:
+        return ends
+    # The brackets go on the end items: only the items and one join are held.
+    items[0] = f"{ends[0]}{inner}{items[0]}"
+    items[-1] = f"{items[-1]}{indent}{ends[1]}"
+    return ("," + inner).join(items)
 
 
 def emit_scenario(scenario: Scenario) -> str:

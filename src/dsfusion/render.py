@@ -59,14 +59,10 @@ def mass_map(m: MassFunction, keys: dict[int, str] | None = None) -> dict[str, f
     return {keys[mask]: v for mask, v in m._masses.items()}
 
 
-class RunReport(
-    namedtuple("RunReport", "scenario scenario_name scenario_digest condition report prediction")
-):
-    """One fusion run, ready to render: scenario identity plus the numbers.
-
-    ``scenario`` is the Scenario, ``scenario_name`` and ``scenario_digest``
-    are strs, ``condition`` is the int index, ``report`` is the FusionReport,
-    or None when the output prints no step, and ``prediction`` the Prediction.
+class RunReport(namedtuple("RunReport", "scenario report prediction")):
+    """One fuse run, ready to render: the Scenario ``scenario``, the
+    FusionReport ``report`` whose steps the output prints, or None when it
+    prints none, and the Prediction ``prediction``.
     """
 
     __slots__ = ()
@@ -114,21 +110,22 @@ def render_trace(trace: CombinationTrace, precision: int) -> str:
     return "\n".join(lines)
 
 
-def fuse_text(run: RunReport, precision: int, show_trace: bool) -> str:
-    """Human-readable fusion report, optionally with per-step trace tables."""
+def fuse_text(scenario_name: str, digest: str, run: RunReport, precision: int) -> str:
+    """Human-readable fusion report, with a trace table per step when
+    ``run.report`` is set."""
     motions = run.scenario.motions
+    p = run.prediction
     out: list[str] = [
-        f"scenario: {run.scenario_name} (sha256:{run.scenario_digest})",
-        f"condition: {run.condition}",
+        f"scenario: {scenario_name} (sha256:{digest})",
+        f"condition: {p.condition}",
         f"sources: {len(motions)}",
     ]
-    if show_trace:
+    if run.report is not None:
         for i, trace in enumerate(run.report.steps, start=1):
             lead = f"'{motions[0].name}' + " if i == 1 else "+ "
             out.append("")
             out.append(f"step {i}: {lead}'{motions[i].name}'")
             out.append(render_trace(trace, precision))
-    p = run.prediction
     out.append("")
     out.append("final masses:")
     for subset, value in p.final.focal_elements():
@@ -172,11 +169,12 @@ def fuse_json(run: RunReport) -> str:
         }
         for trace in run.report.steps
     ]
+    p = run.prediction
     payload = {
-        "condition": run.condition,
+        "condition": p.condition,
         "steps": steps,
-        "final": mass_map(run.report.final),
-        "winner": _winner_json(run.prediction),
+        "final": mass_map(p.final),
+        "winner": _winner_json(p),
     }
     return _json_text(payload) + "\n"
 

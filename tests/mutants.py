@@ -174,6 +174,23 @@ MUTANTS = (
         "            break\n",
         ("tests/test_untraced.py",),
     ),
+    # fuse prints the steps exactly when its RunReport holds a report.
+    Mutant(
+        "render.py",
+        "    if run.report is not None:",
+        "    if False:",
+        ("tests/test_cli.py",),
+    ),
+    # The JSON writer holds a level's items and their one joined string, and
+    # no concatenated copy of it.
+    Mutant(
+        "document.py",
+        '    items[0] = f"{ends[0]}{inner}{items[0]}"\n'
+        '    items[-1] = f"{items[-1]}{indent}{ends[1]}"\n'
+        "    return (\",\" + inner).join(items)\n",
+        "    return ends[0] + inner + (\",\" + inner).join(items) + indent + ends[1]\n",
+        ("tests/test_footprint.py",),
+    ),
     # Usage and I/O errors exit 1, a total conflict 3, every other evidence error 2.
     Mutant(
         "cli.py",

@@ -332,7 +332,7 @@ def output_payloads(s):
             if isinstance(p, Prediction):
                 report = fusion_report(s, p.condition)
                 prediction = prediction_from_report(report, p.condition)
-                fuse_json(RunReport(s, "s", "", p.condition, report, prediction))
+                fuse_json(RunReport(s, report, prediction))
     assert len(payloads) == 2 + sum(isinstance(p, Prediction) for p in results)
     return payloads
 
@@ -365,6 +365,11 @@ class TestJsonText:
     @example(value=[5e-324, 1e-05, 0.1 + 0.2, 1.0, -0.0, 1e16, 1e22, 2**64])
     @example(value={"": [], "e": {}, "t": (), "n": [[{}]]})
     @example(value=['"', "\\", "\n", "\t", "\x7f", "\u2028", "é", "\U0001F600", "\x00"])
+    # one item, so the first item is also the last, at several depths
+    @example(value=[[["x"]]])
+    @example(value={"a": {"b": [1]}})
+    @example(value=[{}])
+    @example(value=({"k": ()},))
     def test_equals_the_json_module(self, value):
         assert _json_text(value) == dumps(value)
 

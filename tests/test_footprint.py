@@ -1,14 +1,18 @@
-"""What the fold and winner selection hold and do, counted rather than timed.
+"""What the fold, the JSON writer and winner selection hold and do, counted
+rather than timed.
 
 ``tracemalloc`` counts the bytes that ``fold``, ``predict`` and a ``fuse``
 whose output prints no step hold at their peak against the bytes of the
-final mass function alone.  A wrapper around
+final mass function alone, and the bytes that ``fuse --format json`` holds
+against the bytes it writes.  A wrapper around
 ``MassFunction.belief`` counts the terms that winner selection sums against
 the focal pairs that the fold crossed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tracemalloc
 
@@ -38,18 +42,23 @@ from helpers import doubling_document
 # that keeps one step holds about 2; keeping every step of the plateau fold
 # below held 6.7.
 HELD = 3
+# Peak bytes held by fuse --format json, in units of the bytes it writes:
+# 2.6 with a writer that joins each level once, 3.6 when it also concatenated
+# the brackets onto the joined string.
+WRITTEN = 3
 # Belief terms summed by winner selection, in units of the fold's crossed
 # cells.  On the n-source doubling prefix that is n / 2, at most 8.5; a
 # belief for every tied focal would cost 2**(n - 1).
 WORK = 10
 
 
-def _plateau() -> Scenario:
-    """The first 12 doubling sources, then the first 8 again: 4,096 focals
-    from step 12 on, so the fold holds as many bytes at each later step."""
+def _plateau(n: int = 12, again: int = 8) -> Scenario:
+    """The first n doubling sources, then the first ``again`` of them again:
+    2**n focals from step n on (4,096 by default), so the fold holds as many
+    bytes at each later step."""
     doubling = parse_scenario(doubling_document())
-    first = doubling.motions[:12]
-    motions = [*first, *(Motion(f"{m.name} again", m.direction) for m in first[:8])]
+    first = doubling.motions[:n]
+    motions = [*first, *(Motion(f"{m.name} again", m.direction) for m in first[:again])]
     return Scenario(doubling.frame, motions, [[0.5] * len(motions)])
 
 
@@ -95,6 +104,18 @@ def test_fuse_holds_one_step_at_a_time(tmp_path, capsys):
     assert code == 0
     assert peak <= HELD * own
     assert capsys.readouterr().out == sweep_csv([predict(scenario, 1)])
+
+
+def test_fuse_json_holds_about_two_copies_of_its_output(tmp_path):
+    # The writer holds a level's items and their one joined string at once.
+    # stdout is a StringIO: pytest's capture would encode another copy.
+    path = tmp_path / "plateau.json"
+    path.write_text(emit_scenario(_plateau(6, 3)), encoding="utf-8")
+    argv = ["fuse", "--scenario", str(path), "--condition", "1", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code, peak, _ = _traced(lambda: cli.main(argv))
+    assert code == 0
+    assert peak <= WRITTEN * len(stdout.getvalue())
 
 
 def test_winner_selection_is_bounded_by_the_fold(monkeypatch):

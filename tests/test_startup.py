@@ -138,7 +138,7 @@ def _records():
         Motion: scenario.motions[0],
         Prediction: prediction,
         SweepFailure: SweepFailure(1, ValueError("x")),
-        RunReport: RunReport(scenario, "builtin:takraw", "0" * 12, 1, report, prediction),
+        RunReport: RunReport(scenario, report, prediction),
     }
 
 
@@ -152,10 +152,7 @@ FIELDS = {
         "winner_plausibility", "steps_conflict",
     ),
     SweepFailure: ("condition", "error"),
-    RunReport: (
-        "scenario", "scenario_name", "scenario_digest", "condition", "report",
-        "prediction",
-    ),
+    RunReport: ("scenario", "report", "prediction"),
 }
 
 

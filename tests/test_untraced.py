@@ -158,10 +158,9 @@ def test_cli_stdout_matches_traced_path(scenario):
                 assert cli_stdout("fuse", "--scenario", path, "--condition",
                                   str(condition)) == (3, "")
                 continue
-            run = RunReport(scenario, path, digest, condition,
-                            fusion_report(scenario, condition), result)
+            run = RunReport(scenario, None, result)
             assert cli_stdout("fuse", "--scenario", path, "--condition",
-                              str(condition)) == (0, fuse_text(run, 4, False))
+                              str(condition)) == (0, fuse_text(path, digest, run, 4))
             assert cli_stdout("fuse", "--scenario", path, "--condition", str(condition),
                               "--format", "csv") == (0, sweep_csv([result]))
 
